@@ -12,6 +12,16 @@ through each execution mode:
   across a :class:`repro.perf.grid.ProjectionGrid` process pool
   (including pool spawn, so the number is an honest cold-start cost).
 
+A second phase times the Monte-Carlo sensitivity study (Section 6.3)
+-- the same six (workload, node) tasks a benchmark campaign runs --
+through the per-trial reference loop kept with the tests
+(``tests/sensitivity_reference.py``: one single-budget kernel call per
+trial per design) and through the batched
+:func:`repro.projection.sensitivity.run_sensitivity` (one call per
+design, per-trial (mu, phi) rows).  Their ``payload()`` outputs must
+be byte-equal, and the batched path must be at least
+``REQUIRED_SENSITIVITY_SPEEDUP`` times faster.
+
 Results land in ``BENCH_projection.json`` at the repo root, plus one
 envelope-stamped history row appended to ``BENCH_history.jsonl``
 (benchmark ``projection``) for the regression sentinel
@@ -29,6 +39,7 @@ before every repetition, so no mode inherits another's warm state.
 
 from __future__ import annotations
 
+import json
 import os
 import platform
 import sys
@@ -43,14 +54,29 @@ from repro.obs.history import DEFAULT_HISTORY_NAME, record_benchmark
 from repro.obs.profiling import phase_totals, reset_phase_totals
 from repro.perf.cache import clear_caches
 from repro.perf.grid import ProjectionGrid, figure_campaign
+from repro.projection.sensitivity import SensitivityConfig, run_sensitivity
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+if str(REPO_ROOT / "tests") not in sys.path:
+    sys.path.insert(0, str(REPO_ROOT / "tests"))
+from sensitivity_reference import reference_sensitivity  # noqa: E402
+
 OUTPUT_PATH = REPO_ROOT / "BENCH_projection.json"
 HISTORY_PATH = REPO_ROOT / DEFAULT_HISTORY_NAME
 BENCHMARK_NAME = "projection"
 FIGURES = ("F6", "F7", "F8", "F9")
 REQUIRED_SPEEDUP = 5.0
 REPEATS = 5
+#: The benchmark campaign's sensitivity tasks: every workload at two
+#: nodes, f = 0.99, 200 trials, one seed per task.
+SENSITIVITY_TASKS = tuple(
+    (workload, node, seed)
+    for seed, (workload, node) in enumerate(
+        ((w, n) for w in ("mmm", "fft", "bs") for n in (22, 11)), start=1
+    )
+)
+SENSITIVITY_TRIALS = 200
+REQUIRED_SENSITIVITY_SPEEDUP = 3.0
 
 
 def _time_mode(
@@ -89,6 +115,48 @@ def _time_mode(
     }
 
 
+def _time_sensitivity(study, repeats: int = REPEATS):
+    """Best-of-N wall-clock for every sensitivity task through
+    ``study``; returns ``(best_s, payload bytes per task)``."""
+    times = []
+    for _ in range(repeats):
+        clear_caches()
+        start = time.perf_counter()
+        summaries = [
+            study(
+                workload, 0.99, node,
+                config=SensitivityConfig(
+                    trials=SENSITIVITY_TRIALS, seed=seed
+                ),
+            )
+            for workload, node, seed in SENSITIVITY_TASKS
+        ]
+        times.append(time.perf_counter() - start)
+    outputs = [
+        json.dumps(summary.payload(), sort_keys=True)
+        for summary in summaries
+    ]
+    return min(times), outputs
+
+
+def run_sensitivity_phase() -> dict:
+    """Reference per-trial loop vs the batched study."""
+    reference_s, reference_out = _time_sensitivity(reference_sensitivity)
+    batched_s, batched_out = _time_sensitivity(run_sensitivity)
+    if batched_out != reference_out:
+        raise AssertionError(
+            "batched sensitivity payloads differ from the reference loop"
+        )
+    return {
+        "tasks": len(SENSITIVITY_TASKS),
+        "trials": SENSITIVITY_TRIALS,
+        "reference_best_s": reference_s,
+        "batched_best_s": batched_s,
+        "speedup": reference_s / batched_s,
+        "required_speedup": REQUIRED_SENSITIVITY_SPEEDUP,
+    }
+
+
 def run_benchmark(jobs: Optional[int] = None) -> dict:
     """Time every mode and assemble the BENCH_projection payload."""
     panels = len(figure_campaign(FIGURES))
@@ -117,6 +185,7 @@ def run_benchmark(jobs: Optional[int] = None) -> dict:
         "best_mode": best_mode,
         "best_speedup": speedups[best_mode],
         "required_speedup": REQUIRED_SPEEDUP,
+        "sensitivity": run_sensitivity_phase(),
         "machine": {
             "cpus": os.cpu_count(),
             "python": platform.python_version(),
@@ -134,15 +203,31 @@ def _record(payload: dict) -> None:
     )
 
 
+def _failures(payload: dict) -> list:
+    """Every gate the payload misses, as messages."""
+    failures = []
+    if payload["best_speedup"] < REQUIRED_SPEEDUP:
+        failures.append(
+            f"best mode {payload['best_mode']} is only "
+            f"{payload['best_speedup']:.2f}x over scalar "
+            f"(required: {REQUIRED_SPEEDUP}x)"
+        )
+    sens = payload["sensitivity"]
+    if sens["speedup"] < REQUIRED_SENSITIVITY_SPEEDUP:
+        failures.append(
+            f"batched sensitivity is only {sens['speedup']:.2f}x over "
+            f"the per-trial loop (required: "
+            f"{REQUIRED_SENSITIVITY_SPEEDUP}x)"
+        )
+    return failures
+
+
 def test_batched_campaign_speedup():
-    """The optimized path must beat the seed scalar path by >= 5x."""
+    """The optimized path must beat the seed scalar path by >= 5x, and
+    the batched sensitivity study the per-trial loop by >= 3x."""
     payload = run_benchmark()
     _record(payload)
-    assert payload["best_speedup"] >= REQUIRED_SPEEDUP, (
-        f"best mode {payload['best_mode']} is only "
-        f"{payload['best_speedup']:.2f}x over scalar "
-        f"(required: {REQUIRED_SPEEDUP}x)"
-    )
+    assert not _failures(payload), _failures(payload)
 
 
 def main() -> int:
@@ -157,17 +242,26 @@ def main() -> int:
             f"  {name:<14}: {mode['best_s'] * 1000:8.1f} ms  "
             f"({payload['speedup_vs_scalar'][name]:.2f}x)"
         )
+    sens = payload["sensitivity"]
+    print(
+        f"sensitivity: {sens['tasks']} tasks x {sens['trials']} trials, "
+        f"best of {REPEATS}"
+    )
+    print(f"  reference     : {sens['reference_best_s'] * 1000:8.1f} ms")
+    print(
+        f"  batched       : {sens['batched_best_s'] * 1000:8.1f} ms  "
+        f"({sens['speedup']:.2f}x, outputs equal)"
+    )
     print(f"wrote {OUTPUT_PATH}")
-    if payload["best_speedup"] < REQUIRED_SPEEDUP:
-        print(
-            f"FAIL: best speedup {payload['best_speedup']:.2f}x < "
-            f"{REQUIRED_SPEEDUP}x",
-            file=sys.stderr,
-        )
+    failures = _failures(payload)
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    if failures:
         return 1
     print(
         f"PASS: {payload['best_mode']} is "
-        f"{payload['best_speedup']:.2f}x over the scalar baseline"
+        f"{payload['best_speedup']:.2f}x over the scalar baseline; "
+        f"batched sensitivity is {sens['speedup']:.2f}x"
     )
     return 0
 

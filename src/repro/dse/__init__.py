@@ -10,9 +10,10 @@ scenarios into a production exploration pipeline:
 * :mod:`~repro.dse.providers` -- pluggable performance/constraint
   regimes (Table 1 baseline, Ginosar sqrt(m), Yavits
   temperature-limited Amdahl) behind one interface.
-* :mod:`~repro.dse.engine` -- config-space expansion and evaluation
-  through the existing r-sweep optimizer, with ``dse.evaluate``
-  spans.
+* :mod:`~repro.dse.engine` -- config-space expansion and evaluation:
+  one batched r-sweep (:func:`repro.perf.batch.optimize_batch`) per
+  ``(chip, f)`` group, bit-identical to the scalar optimizer per
+  config, under one ``dse.evaluate`` span per group.
 * :mod:`~repro.dse.front` -- the dominance-pruned
   (speedup, area, power) Pareto front, canonically ordered and
   shard-mergeable.

@@ -2,16 +2,19 @@
 
 A :class:`DSEScenario` expands into a deterministic list of
 :class:`DSEConfig` -- the cartesian product of chips, parallel
-fractions, roadmap nodes, and area/power budget scales.  Each config
-is evaluated by the existing r-sweep optimizer
-(:func:`repro.core.optimizer.optimize`), wrapped -- when the
-scenario's provider is not the paper baseline -- in a
-:class:`_ProviderChip` adapter that substitutes the provider's
-sequential law and effective-fabric mapping.  The ``table1`` provider
-is detected (`identity = True`) and skips the wrapper entirely, so
-its results are bit-identical to :mod:`repro.projection`.
+fractions, roadmap nodes, and area/power budget scales.  Configs that
+share a chip and a parallel fraction differ only in their budgets, so
+each such group is evaluated by one batched r-sweep
+(:func:`repro.perf.batch.optimize_batch`, bit-identical to the scalar
+:func:`repro.core.optimizer.optimize` per config).  When the
+scenario's provider is not the paper baseline the chip is wrapped in
+a :class:`_ProviderChip` adapter that substitutes the provider's
+sequential law and effective-fabric mapping; its own ``model_id``
+routes it through the kernel's generic per-cell path.  The ``table1``
+provider is detected (`identity = True`) and skips the wrapper
+entirely, so its results are bit-identical to :mod:`repro.projection`.
 
-Every evaluation runs under a ``dse.evaluate`` span, and campaign
+Every group runs under one ``dse.evaluate`` span, and campaign
 integration lives in :func:`execute_pareto_task` (sharded exhaustive
 sweep; its payload carries the shard's dominance-pruned front).
 """
@@ -20,23 +23,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.chip import ChipModel, HeterogeneousChip
 from ..core.constraints import Budget
 from ..core.multicore import MultiUCoreChip, WorkloadSegment
-from ..core.optimizer import (
-    DEFAULT_R_MAX,
-    DesignPoint,
-    feasible_r_values,
-    optimize,
-)
+from ..core.optimizer import DEFAULT_R_MAX, DesignPoint
 from ..core.ucore import UCore
 from ..devices.bce import BCE, DEFAULT_BCE
-from ..errors import InfeasibleDesignError, ModelError
+from ..errors import ModelError
 from ..obs.metrics import get_registry
 from ..obs.stream import emit as emit_event
 from ..obs.trace import get_tracer
+from ..perf.batch import effective_n_batch, optimize_batch
 from ..projection.engine import node_budget
 from .dsl import (
     BEST_SUBSTRATE,
@@ -53,7 +52,9 @@ __all__ = [
     "resolve_chip",
     "expand_configs",
     "evaluate_config",
+    "evaluate_configs",
     "exhaustive_sweep",
+    "feasible_signatures",
     "execute_pareto_task",
 ]
 
@@ -68,13 +69,18 @@ class _ProviderChip(ChipModel):
     the provider returns ``m`` unchanged the original ``n`` is passed
     through untouched (``r + (n - r)`` would not be bit-identical in
     floats).
+
+    The ``model_id`` is the adapter's own: with the inner chip's id,
+    the batch kernel would apply that model's closed-form formulas and
+    skip ``effective_parallel`` and ``perf_seq``.  Any id other than
+    symmetric/dynamic keeps the scalar offload-style fabric rule.
     """
 
     def __init__(self, inner: ChipModel, provider: DSEProvider):
         super().__init__(provider.perf_seq)
         self.inner = inner
         self.provider = provider
-        self.model_id = inner.model_id
+        self.model_id = f"{provider.name}:{inner.model_id}"
 
     @property
     def label(self) -> str:
@@ -289,33 +295,87 @@ def _configs_counter():
     )
 
 
+#: Most configs one kernel call evaluates; bounds the grid's memory
+#: when a single (chip, f) group spans a large budget grid.
+GROUP_ROWS = 4096
+
+
+def config_groups(
+    configs: Sequence[DSEConfig],
+) -> Iterator[Tuple[ChipModel, float, List[int]]]:
+    """Indices of ``configs`` grouped by ``(chip, f)``, in first-seen
+    order, each group split into chunks of at most :data:`GROUP_ROWS`.
+
+    A group's configs differ only in their budgets, so one batched
+    r-sweep over the group's budgets evaluates all of them.
+    """
+    groups: Dict[Tuple[int, float], List[int]] = {}
+    for i, config in enumerate(configs):
+        groups.setdefault((id(config.chip), config.f), []).append(i)
+    for indices in groups.values():
+        first = configs[indices[0]]
+        for lo in range(0, len(indices), GROUP_ROWS):
+            yield first.chip, first.f, indices[lo:lo + GROUP_ROWS]
+
+
+def _evaluate_group(
+    configs: Sequence[DSEConfig],
+    r_max: int,
+    r_values: Optional[Sequence[float]],
+) -> List[Optional[DSEPoint]]:
+    """One batched r-sweep over configs sharing ``(chip, f)``."""
+    first = configs[0]
+    with get_tracer().span(
+        "dse.evaluate",
+        attributes={
+            "dse.chip": first.chip_label,
+            "dse.provider": first.provider,
+            "dse.f": first.f,
+            "dse.configs": len(configs),
+        },
+    ) as span:
+        designs = optimize_batch(
+            first.chip, first.f, [c.eval_budget for c in configs],
+            r_max=r_max, r_values=r_values,
+        )
+        points = [
+            None if design is None else _point_from_design(config, design)
+            for config, design in zip(configs, designs)
+        ]
+        infeasible = sum(point is None for point in points)
+        span.set_attribute("dse.infeasible", infeasible)
+        counter = _configs_counter()
+        if infeasible < len(points):
+            counter.inc(len(points) - infeasible, outcome="ok")
+        if infeasible:
+            counter.inc(infeasible, outcome="infeasible")
+        return points
+
+
 def evaluate_config(
     config: DSEConfig,
     r_max: int = DEFAULT_R_MAX,
     r_values: Optional[Sequence[float]] = None,
 ) -> Optional[DSEPoint]:
     """Full r-sweep for one config; ``None`` when infeasible."""
-    with get_tracer().span(
-        "dse.evaluate",
-        attributes={
-            "dse.config": config.config_id,
-            "dse.chip": config.chip_label,
-            "dse.provider": config.provider,
-        },
-    ) as span:
-        try:
-            design = optimize(
-                config.chip, config.f, config.eval_budget,
-                r_max=r_max, r_values=r_values,
-            )
-        except InfeasibleDesignError:
-            span.set_attribute("dse.outcome", "infeasible")
-            _configs_counter().inc(outcome="infeasible")
-            return None
-        span.set_attribute("dse.outcome", "ok")
-        span.set_attribute("dse.speedup", design.speedup)
-        _configs_counter().inc(outcome="ok")
-        return _point_from_design(config, design)
+    return _evaluate_group([config], r_max, r_values)[0]
+
+
+def evaluate_configs(
+    configs: Sequence[DSEConfig],
+    r_max: int = DEFAULT_R_MAX,
+    r_values: Optional[Sequence[float]] = None,
+) -> List[Optional[DSEPoint]]:
+    """:func:`evaluate_config` for every config, one kernel call per
+    ``(chip, f)`` group; results in ``configs`` order."""
+    out: List[Optional[DSEPoint]] = [None] * len(configs)
+    for _, _, indices in config_groups(configs):
+        points = _evaluate_group(
+            [configs[i] for i in indices], r_max, r_values
+        )
+        for i, point in zip(indices, points):
+            out[i] = point
+    return out
 
 
 def exhaustive_sweep(
@@ -323,38 +383,38 @@ def exhaustive_sweep(
     r_max: int = DEFAULT_R_MAX,
 ) -> Tuple[List[DSEPoint], int]:
     """Evaluate every config fully; returns (points, n_infeasible)."""
-    points: List[DSEPoint] = []
-    infeasible = 0
-    for config in configs:
-        point = evaluate_config(config, r_max=r_max)
-        if point is None:
-            infeasible += 1
-        else:
-            points.append(point)
-    return points, infeasible
+    evaluated = evaluate_configs(configs, r_max=r_max)
+    points = [point for point in evaluated if point is not None]
+    return points, len(evaluated) - len(points)
 
 
-def feasible_signature(
-    config: DSEConfig, r_max: int = DEFAULT_R_MAX
-) -> Optional[Tuple[Tuple[int, float], ...]]:
-    """The (r, n_effective) vector that fully determines evaluation.
+Signature = Tuple[Tuple[int, float], ...]
+
+
+def feasible_signatures(
+    configs: Sequence[DSEConfig], r_max: int = DEFAULT_R_MAX
+) -> List[Optional[Signature]]:
+    """Each config's ``(r, n_effective)`` vector over its feasible r.
 
     Two configs with the same chip, ``f`` and signature produce
     bit-identical r-sweeps (speedup depends only on ``(f, n, r)``),
     which is what lets successive halving share one evaluation across
     a whole equivalence class.  ``None`` marks a config whose serial
-    bounds are infeasible outright.
+    bounds are infeasible outright (no ``r >= 1`` fits).  The bounds
+    come from one grid pass per ``(chip, f)`` group.
     """
-    try:
-        r_values = feasible_r_values(
-            config.chip, config.eval_budget, r_max
-        )
-    except InfeasibleDesignError:
-        return None
-    return tuple(
-        (r, config.chip.bounds(config.eval_budget, r).n_effective)
-        for r in r_values
-    )
+    out: List[Optional[Signature]] = [None] * len(configs)
+    for chip, _, indices in config_groups(configs):
+        budgets = [configs[i].eval_budget for i in indices]
+        n_eff = effective_n_batch(chip, budgets, r_max).tolist()
+        for i, budget, row in zip(indices, budgets, n_eff):
+            ceiling = chip.max_serial_r(budget)
+            if not ceiling >= 1:  # also rejects NaN
+                continue
+            # The feasible r are 1..floor(ceiling), capped at r_max.
+            count = r_max if ceiling >= r_max else int(ceiling)
+            out[i] = tuple(zip(range(1, count + 1), row))
+    return out
 
 
 def execute_pareto_task(task: Any) -> Dict[str, Any]:

@@ -8,7 +8,7 @@ generic algorithm lacks:
 1. **Equivalence classes.**  A config's full r-sweep depends only on
    its chip, its parallel fraction, and its *feasibility signature* --
    the vector of ``(r, n_effective)`` pairs over the feasible serial
-   sizes (:func:`repro.dse.engine.feasible_signature`).  Budget grids
+   sizes (:func:`repro.dse.engine.feasible_signatures`).  Budget grids
    saturate (past the power bound, more area buys nothing), so many
    configs share a signature; one representative evaluation serves
    the whole class, bit-identically.
@@ -29,18 +29,19 @@ generic algorithm lacks:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.optimizer import DEFAULT_R_MAX, optimize, sweep_designs
-from ..errors import InfeasibleDesignError, ModelError
+from ..core.optimizer import DEFAULT_R_MAX, sweep_designs
+from ..errors import ModelError
 from ..obs.stream import emit as emit_event
 from ..obs.trace import get_tracer
 from .engine import (
     DSEConfig,
     DSEScenario,
-    _configs_counter,
+    evaluate_configs,
     expand_configs,
-    feasible_signature,
+    feasible_signatures,
 )
 from .front import DSEPoint, pareto_front
 
@@ -66,12 +67,14 @@ class _Class:
     def rep(self) -> DSEConfig:
         return self.members[0]
 
+    @cached_property
     def minimal_budgets(self) -> List[Tuple[float, float]]:
         """The 2D-minimal (area, power) pairs among the members.
 
         Non-minimal members are dominated by a classmate (equal
         speedup, component-wise smaller budgets), so coverage of the
-        minimal pairs is coverage of the whole class.
+        minimal pairs is coverage of the whole class.  Cached: read
+        only by pruning, after phase 0 has fixed the members.
         """
         pairs = sorted(
             {(m.budget.area, m.budget.power) for m in self.members}
@@ -145,8 +148,8 @@ def _covers(
 ) -> bool:
     """Every minimal budget pair of ``candidate`` has a member of
     ``dominator`` at component-wise <= budgets."""
-    dom_pairs = dominator.minimal_budgets()
-    for area, power in candidate.minimal_budgets():
+    dom_pairs = dominator.minimal_budgets
+    for area, power in candidate.minimal_budgets:
         if not any(
             da <= area and dp <= power for da, dp in dom_pairs
         ):
@@ -159,8 +162,8 @@ def _covers_strictly(
 ) -> bool:
     """Like :func:`_covers`, but every pair is covered with at least
     one strictly smaller budget component."""
-    dom_pairs = dominator.minimal_budgets()
-    for area, power in candidate.minimal_budgets():
+    dom_pairs = dominator.minimal_budgets
+    for area, power in candidate.minimal_budgets:
         if not any(
             da <= area
             and dp <= power
@@ -237,8 +240,9 @@ def successive_halving(
     # -- phase 0: equivalence classes (no speedup evaluations) -------------
     classes: Dict[Tuple, _Class] = {}
     infeasible = 0
-    for config in configs:
-        signature = feasible_signature(config, r_max)
+    for config, signature in zip(
+        configs, feasible_signatures(configs, r_max)
+    ):
         if signature is None:
             infeasible += 1
             continue
@@ -269,27 +273,19 @@ def successive_halving(
     # -- full fidelity for the survivors -----------------------------------
     survivors = [c for c in ordered if c.alive]
     points: List[DSEPoint] = []
-    full_evals = 0
-    counter = _configs_counter()
-    for cls in survivors:
-        rep = cls.rep
-        full_evals += 1
-        try:
-            design = optimize(
-                rep.chip, rep.f, rep.eval_budget, r_max=r_max
-            )
-        except InfeasibleDesignError:
-            counter.inc(outcome="infeasible")
+    full_evals = len(survivors)
+    rep_points = evaluate_configs([c.rep for c in survivors], r_max=r_max)
+    for cls, best in zip(survivors, rep_points):
+        if best is None:
             infeasible += len(cls.members)
             continue
-        counter.inc(outcome="ok")
         for member in cls.members:
             # The class shares (speedup, r, n) bit-identically; the
             # limiter is re-read from the member's own bound set
             # (equal n_effective can come from a different binding
             # budget), so each member's point matches what the
             # exhaustive sweep would emit for it exactly.
-            bounds = member.chip.bounds(member.eval_budget, design.r)
+            bounds = member.chip.bounds(member.eval_budget, best.r)
             points.append(
                 DSEPoint(
                     config_id=member.config_id,
@@ -303,9 +299,9 @@ def successive_halving(
                     power_scale=member.power_scale,
                     area=member.budget.area,
                     power=member.budget.power,
-                    speedup=design.speedup,
-                    r=design.r,
-                    n=design.n,
+                    speedup=best.speedup,
+                    r=best.r,
+                    n=best.n,
                     limiter=bounds.limiter.value,
                 )
             )

@@ -25,6 +25,13 @@ in the *same* order as the scalar formulas:
 Models without a registered vector kernel fall back to elementwise
 evaluation through ``chip.speedup`` -- slower, but every
 :class:`~repro.core.chip.ChipModel` subclass works out of the box.
+
+The heterogeneous kernels read the U-core's ``mu`` and ``phi`` either
+as the chip's own scalars, which broadcast over every budget row, or
+as per-row ``(budgets, 1)`` columns passed to :func:`optimize_batch`.
+Both run the same expressions, so row ``i`` of a per-row call is
+bit-identical to a one-budget call on a chip built with ``mu[i]`` and
+``phi[i]``: a Monte-Carlo batch of perturbed U-cores is one call.
 """
 
 from __future__ import annotations
@@ -43,13 +50,18 @@ from ..core.optimizer import (
     feasible_r_values,
 )
 from ..core.power import pollack_perf
+from ..errors import ModelError
 from ..obs.profiling import profile_block
 
 __all__ = [
     "sweep_designs_batch",
     "optimize_batch",
     "optimize_prefix_batch",
+    "effective_n_batch",
 ]
+
+#: Chip models whose fabric is one U-core type described by (mu, phi).
+_UCORE_MODELS = ("heterogeneous", "heterogeneous-assisted")
 
 
 def _pow_matrix(
@@ -89,19 +101,55 @@ def _perf_law_matrix(chip: ChipModel, values: np.ndarray) -> np.ndarray:
     return flat.reshape(values.shape)
 
 
+def _row_column(values: Sequence[float], rows: int, name: str):
+    """One positive value per budget row, as a ``(rows, 1)`` column."""
+    col = np.asarray(values, dtype=float).reshape(-1, 1)
+    if col.shape[0] != rows:
+        raise ModelError(f"{name} has {col.shape[0]} rows for {rows} budgets")
+    if not np.all(col > 0):
+        raise ModelError(f"every {name} must be positive")
+    return col
+
+
+def _ucore_params(chip: ChipModel, rows: int, mu=None, phi=None):
+    """The U-core ``(mu, phi)`` the heterogeneous kernels read.
+
+    Without overrides these are the chip's own scalars; an override is
+    one value per budget row, returned as a ``(rows, 1)`` column.
+    Chips without a U-core get ``(None, None)``.
+    """
+    overridden = mu is not None or phi is not None
+    if chip.model_id not in _UCORE_MODELS:
+        if overridden:
+            raise ModelError(
+                f"per-row mu/phi need a U-core chip, got {chip.model_id!r}"
+            )
+        return None, None
+    ucore = chip.ucore
+    if not overridden:
+        return ucore.mu, ucore.phi
+    return (
+        ucore.mu if mu is None else _row_column(mu, rows, "mu"),
+        ucore.phi if phi is None else _row_column(phi, rows, "phi"),
+    )
+
+
 def _grid_bounds(
     chip: ChipModel,
     budgets: Sequence[Budget],
     r_vals: Sequence[float],
     r: np.ndarray,
     sqrt_r: np.ndarray,
+    mu,
+    phi,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Table 1 parallel-phase bounds over the (budget, r) grid.
 
     Returns ``(n_area, n_power, n_bandwidth)``, each of shape
     ``(len(budgets), len(r_vals))``.  Each branch mirrors the exact
     expression (and operation order) of the corresponding
-    ``ChipModel.bound_*`` scalar method.
+    ``ChipModel.bound_*`` scalar method.  U-core models read ``mu``
+    and ``phi`` from :func:`_ucore_params`.
     """
     area = np.array([b.area for b in budgets])[:, None]
     power = np.array([b.power for b in budgets])[:, None]
@@ -131,8 +179,8 @@ def _grid_bounds(
         n_bandwidth = np.broadcast_to(bandwidth, shape).copy()
     elif model == "heterogeneous":
         # n <= P / phi + r;  n <= B / mu + r
-        n_power = power / chip.ucore.phi + r
-        n_bandwidth = bandwidth / chip.ucore.mu + r
+        n_power = power / phi + r
+        n_bandwidth = bandwidth / mu + r
     elif model == "heterogeneous-assisted":
         # headroom-gated: the fast core's own draw comes off the top.
         seqp = _pow_matrix(r_vals, alphas, lambda a: a / 2.0)
@@ -140,10 +188,10 @@ def _grid_bounds(
         b_head = bandwidth - sqrt_r
         r_grid = np.broadcast_to(r, shape)
         n_power = np.where(
-            p_head <= 0, r_grid, p_head / chip.ucore.phi + r
+            p_head <= 0, r_grid, p_head / phi + r
         )
         n_bandwidth = np.where(
-            b_head <= 0, r_grid, b_head / chip.ucore.mu + r
+            b_head <= 0, r_grid, b_head / mu + r
         )
     else:
         # Generic fallback: one scalar bounds() call per grid cell.
@@ -166,6 +214,7 @@ def _grid_speedup(
     r: np.ndarray,
     ps: np.ndarray,
     mask: np.ndarray,
+    mu,
 ) -> np.ndarray:
     """Speedup over the grid, mirroring each model's scalar formula.
 
@@ -198,13 +247,13 @@ def _grid_speedup(
         if f == 0.0:
             return np.broadcast_to(ps, n.shape).copy()
         serial = (1.0 - f) / ps
-        parallel = f / (chip.ucore.mu * (n - r))
+        parallel = f / (mu * (n - r))
         return 1.0 / (serial + parallel)
     if model == "heterogeneous-assisted":
         if f == 0.0:
             return np.broadcast_to(ps, n.shape).copy()
         serial = (1.0 - f) / ps
-        parallel = f / (chip.ucore.mu * (n - r) + ps)
+        parallel = f / (mu * (n - r) + ps)
         return 1.0 / (serial + parallel)
     # Generic fallback: scalar speedup on feasible lanes only (the
     # scalar path never evaluates infeasible ones either).
@@ -220,12 +269,15 @@ def _evaluate_grid(
     budgets: Sequence[Budget],
     r_vals: Sequence[float],
     serial_ok: np.ndarray,
+    mu=None,
+    phi=None,
 ):
     """Bounds, feasibility and speedup over the (budget, r) grid.
 
     ``serial_ok`` is the per-(budget, r) serial-bound mask the caller
     derived (grid sweeps use ``r <= max_serial_r``; explicit r lists
-    replicate ``serial_feasible``).  Returns the bound arrays, the
+    replicate ``serial_feasible``).  ``mu``/``phi`` optionally override
+    the U-core per budget row.  Returns the bound arrays, the
     effective ``n``, the full feasibility mask, and the speedup.
 
     The caller must hold ``np.errstate(divide="ignore",
@@ -235,8 +287,9 @@ def _evaluate_grid(
     check_fraction(f)
     r = np.array(r_vals, dtype=float)[None, :]
     sqrt_r = np.sqrt(r)
+    mu, phi = _ucore_params(chip, len(budgets), mu, phi)
     n_area, n_power, n_bandwidth = _grid_bounds(
-        chip, budgets, r_vals, r, sqrt_r
+        chip, budgets, r_vals, r, sqrt_r, mu, phi
     )
     n = np.minimum(np.minimum(n_area, n_power), n_bandwidth)
 
@@ -249,7 +302,7 @@ def _evaluate_grid(
         mask &= ~(n <= r)
 
     ps = _perf_law_matrix(chip, r[0])
-    speedup = _grid_speedup(chip, f, n, r, ps, mask)
+    speedup = _grid_speedup(chip, f, n, r, ps, mask, mu)
     return n_area, n_power, n_bandwidth, n, mask, speedup
 
 
@@ -333,6 +386,9 @@ def optimize_batch(
     budgets: Sequence[Budget],
     r_max: int = DEFAULT_R_MAX,
     r_values: Optional[Sequence[float]] = None,
+    *,
+    mu: Optional[Sequence[float]] = None,
+    phi: Optional[Sequence[float]] = None,
 ) -> List[Optional[DesignPoint]]:
     """Vectorized r-sweep over many budgets at once.
 
@@ -342,6 +398,10 @@ def optimize_batch(
     would raise :class:`~repro.errors.InfeasibleDesignError` (no
     feasible serial core, or no candidate with usable resources) yield
     ``None`` instead, so one infeasible node does not abort a roadmap.
+
+    ``mu`` and ``phi``, one value per budget, override a U-core chip's
+    parameters row by row: row ``i`` then equals ``optimize`` on the
+    same chip type built with ``UCore(mu=mu[i], phi=phi[i])``.
     """
     budgets = list(budgets)
     if not budgets:
@@ -376,7 +436,7 @@ def optimize_batch(
                 r_arr = np.array(candidates, dtype=float)[None, :]
                 serial_ok = (r_arr >= 1) & (r_arr <= ceilings[:, None])
             arrays = _evaluate_grid(
-                chip, f, budgets, candidates, serial_ok
+                chip, f, budgets, candidates, serial_ok, mu, phi
             )
             mask, speedup = arrays[4], arrays[5]
 
@@ -469,3 +529,29 @@ def optimize_prefix_batch(
                 points.append(point)
             out[r_max] = points
         return out
+
+
+def effective_n_batch(
+    chip: ChipModel,
+    budgets: Sequence[Budget],
+    r_max: int = DEFAULT_R_MAX,
+) -> np.ndarray:
+    """``n_effective`` over the ``(budget, r = 1..r_max)`` grid.
+
+    Entry ``[i, j]`` equals ``chip.bounds(budgets[i], j + 1)
+    .n_effective``: the minimum of the same three Table 1 bounds the
+    r-sweep resolves, as one array pass.  The serial bounds are not
+    applied; callers mask the columns with ``chip.max_serial_r``.
+    """
+    if r_max < 1:
+        raise ModelError(f"r_max must be >= 1, got {r_max}")
+    budgets = list(budgets)
+    with profile_block("perf.effective_n_batch"):
+        r_vals = list(range(1, r_max + 1))
+        r = np.array(r_vals, dtype=float)[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mu, phi = _ucore_params(chip, len(budgets))
+            n_area, n_power, n_bandwidth = _grid_bounds(
+                chip, budgets, r_vals, r, np.sqrt(r), mu, phi
+            )
+        return np.minimum(np.minimum(n_area, n_power), n_bandwidth)

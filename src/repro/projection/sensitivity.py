@@ -21,8 +21,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..core.chip import HeterogeneousChip
-from ..core.optimizer import DEFAULT_R_MAX
-from ..core.ucore import UCore
+from ..core.optimizer import DEFAULT_R_MAX, DesignPoint
 from ..devices.bce import BCE, DEFAULT_BCE
 from ..errors import ModelError
 from ..itrs.scenarios import BASELINE, Scenario
@@ -127,27 +126,28 @@ class SensitivitySummary:
         }
 
 
-def _perturbed_design(
-    design: DesignSpec, rng: np.random.Generator, config: SensitivityConfig
-) -> DesignSpec:
-    """Clone a design with log-normally perturbed U-core parameters."""
-    chip = design.chip
-    if not isinstance(chip, HeterogeneousChip):
-        return design
-    ucore = chip.ucore
-    perturbed = UCore(
-        name=ucore.name,
-        mu=ucore.mu * float(rng.lognormal(0.0, config.mu_sigma)),
-        phi=ucore.phi * float(rng.lognormal(0.0, config.phi_sigma)),
-        kind=ucore.kind,
-        workload=ucore.workload,
-    )
-    return DesignSpec(
-        index=design.index,
-        label=design.label,
-        chip=HeterogeneousChip(perturbed),
-        bandwidth_exempt=design.bandwidth_exempt,
-    )
+#: Trials per kernel call.  Bounds the grid (and the design points
+#: held for the tally) however many trials a config asks for.
+TRIAL_BLOCK = 2048
+
+
+def _draw_multipliers(
+    rng: np.random.Generator,
+    config: SensitivityConfig,
+    n_ucore: int,
+) -> np.ndarray:
+    """Every trial's log-normal multipliers, one row per trial.
+
+    Columns follow the per-trial draw order: bandwidth, power, then
+    ``(mu, phi)`` for each of the ``n_ucore`` heterogeneous designs in
+    design order.  ``lognormal`` with an array of sigmas draws element
+    by element, so this single call consumes the generator exactly as
+    the equivalent sequence of scalar draws would.
+    """
+    sigmas = [config.bandwidth_sigma, config.power_sigma]
+    sigmas += [config.mu_sigma, config.phi_sigma] * n_ucore
+    draws = rng.lognormal(0.0, np.tile(sigmas, config.trials))
+    return draws.reshape(config.trials, len(sigmas))
 
 
 def run_sensitivity(
@@ -163,9 +163,11 @@ def run_sensitivity(
 ) -> SensitivitySummary:
     """Monte-Carlo projection at one node under parameter uncertainty.
 
-    Every trial draws fresh multipliers for each U-core's (mu, phi) and
-    for the node's bandwidth and power budgets, re-optimises every
-    design, and tallies the winner.
+    Every trial draws fresh multipliers for the node's bandwidth and
+    power budgets and for each U-core's (mu, phi), re-optimises every
+    design, and tallies the winner (first strictly best in design
+    order).  All draws are made up front; each design's trials then
+    run as one batched r-sweep with per-trial (mu, phi) rows.
     """
     if workload == "fft" and fft_size is None:
         fft_size = 1024
@@ -176,35 +178,58 @@ def run_sensitivity(
     summary = SensitivitySummary(
         workload=workload, f=f, node_nm=node_nm, trials=config.trials
     )
-    for design in designs:
-        summary.speedups[design.short_label] = []
+    labels = [design.short_label for design in designs]
+    for label in labels:
+        summary.speedups[label] = []
+
+    # Only plain heterogeneous chips are perturbed; each takes the
+    # next (mu, phi) column pair of the draw matrix.
+    ucore_column: Dict[int, int] = {}
+    for k, design in enumerate(designs):
+        if isinstance(design.chip, HeterogeneousChip):
+            ucore_column[k] = 2 + 2 * len(ucore_column)
+    draws = _draw_multipliers(rng, config, len(ucore_column))
 
     # One cached derivation per design; trials only rescale it.
-    base_budgets = {
-        design.short_label: node_budget(
+    base_budgets = [
+        node_budget(
             node, workload, fft_size, scenario, bce,
             design.bandwidth_exempt,
         )
         for design in designs
-    }
+    ]
 
-    for _ in range(config.trials):
-        bw_mult = float(rng.lognormal(0.0, config.bandwidth_sigma))
-        power_mult = float(rng.lognormal(0.0, config.power_sigma))
-        best_label, best_speed = None, -math.inf
-        for design in designs:
-            trial_design = _perturbed_design(design, rng, config)
-            budget = base_budgets[design.short_label].scaled(
-                power=power_mult, bandwidth=bw_mult
-            )
-            point = optimize_batch(trial_design.chip, f, [budget], r_max)[0]
-            if point is None:
-                continue
-            summary.speedups[design.short_label].append(point.speedup)
-            if point.speedup > best_speed:
-                best_label, best_speed = design.short_label, point.speedup
-        if best_label is not None:
-            summary.win_counts[best_label] = (
-                summary.win_counts.get(best_label, 0) + 1
-            )
+    def evaluate(k: int, block: np.ndarray) -> List[Optional[DesignPoint]]:
+        """One design's r-sweep over a block of trials."""
+        budgets = [
+            base_budgets[k].scaled(power=float(pm), bandwidth=float(bm))
+            for bm, pm in block[:, :2]
+        ]
+        col = ucore_column.get(k)
+        if col is None:
+            return optimize_batch(designs[k].chip, f, budgets, r_max)
+        # A plain chip, as when each trial built one from its
+        # perturbed U-core: only (mu, phi) carry over.
+        ucore = designs[k].chip.ucore
+        return optimize_batch(
+            HeterogeneousChip(ucore), f, budgets, r_max,
+            mu=ucore.mu * block[:, col],
+            phi=ucore.phi * block[:, col + 1],
+        )
+
+    for lo in range(0, config.trials, TRIAL_BLOCK):
+        block = draws[lo:lo + TRIAL_BLOCK]
+        columns = [evaluate(k, block) for k in range(len(designs))]
+        for row in zip(*columns):
+            best_label, best_speed = None, -math.inf
+            for label, point in zip(labels, row):
+                if point is None:
+                    continue
+                summary.speedups[label].append(point.speedup)
+                if point.speedup > best_speed:
+                    best_label, best_speed = label, point.speedup
+            if best_label is not None:
+                summary.win_counts[best_label] = (
+                    summary.win_counts.get(best_label, 0) + 1
+                )
     return summary

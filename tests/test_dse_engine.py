@@ -6,7 +6,10 @@ The headline acceptance properties asserted here:
   single-U-core optimizer bit-identically;
 * the ``table1`` provider is the identity regime -- its sweep
   reproduces :mod:`repro.projection` floats exactly;
-* the alternative providers genuinely change the answer.
+* the alternative providers genuinely change the answer;
+* the grouped, batched evaluation equals per-config scalar
+  ``optimize`` point for point, for every built-in scenario and for
+  provider-wrapped and multi-U-core chips.
 """
 
 import math
@@ -16,18 +19,29 @@ import pytest
 from repro.core.chip import HeterogeneousChip
 from repro.core.constraints import Budget
 from repro.core.multicore import MultiUCoreChip, WorkloadSegment
-from repro.core.optimizer import optimize, sweep_designs
+from repro.core.optimizer import feasible_r_values, optimize, sweep_designs
 from repro.devices.params import ucore_for
-from repro.dse.dsl import ChipSpec, DSEScenario, SegmentSpec
+from repro.dse.dsl import (
+    ChipSpec,
+    DSEScenario,
+    SegmentSpec,
+    builtin_scenario,
+    builtin_scenario_names,
+)
 from repro.dse.engine import (
+    _configs_counter,
+    config_groups,
     evaluate_config,
     exhaustive_sweep,
     expand_configs,
+    feasible_signatures,
     resolve_chip,
 )
 from repro.dse.providers import get_provider, provider_names
-from repro.errors import ModelError
+from repro.errors import InfeasibleDesignError, ModelError
 from repro.itrs.scenarios import BASELINE
+from repro.obs.trace import get_tracer
+from repro.perf.batch import optimize_batch
 from repro.projection.engine import node_budget, project
 
 BUDGET = Budget(area=149.0, power=36.0, bandwidth=52.0)
@@ -35,6 +49,50 @@ BUDGET = Budget(area=149.0, power=36.0, bandwidth=52.0)
 
 def _asic():
     return ucore_for("ASIC", "mmm")
+
+
+MULTI_SCENARIO = DSEScenario(
+    name="multi",
+    f_values=(0.0, 0.99),
+    chips=(
+        ChipSpec(kind="single", device="ASIC"),
+        ChipSpec(
+            kind="multi",
+            segments=(
+                SegmentSpec(name="hot", weight=3.0, device="ASIC"),
+                SegmentSpec(name="simd", weight=1.0, device="GTX480"),
+            ),
+        ),
+    ),
+)
+
+#: Provider-wrapped and multi-U-core scenarios: the kernel's generic
+#: per-cell path.
+GENERIC_SCENARIOS = [
+    DSEScenario(name=f"alt-{p}", provider=p, f_values=(0.9, 0.999))
+    for p in ("ginosar-sqrtm", "yavits")
+] + [
+    DSEScenario(
+        name="alt-yavits-multi", provider="yavits",
+        f_values=(0.99,), chips=MULTI_SCENARIO.chips,
+    ),
+    MULTI_SCENARIO,
+]
+
+DIFFERENTIAL_SCENARIOS = [
+    builtin_scenario(name) for name in builtin_scenario_names()
+] + GENERIC_SCENARIOS
+
+#: Budget grids of the differential tests; 1e-3 makes configs whose
+#: serial bounds are infeasible.
+GRIDS = ((1e-3, 0.25, 1.0, 4.0), (0.5, 1.0))
+
+
+def _scalar_optimize(config, r_max=16):
+    try:
+        return optimize(config.chip, config.f, config.eval_budget, r_max)
+    except InfeasibleDesignError:
+        return None
 
 
 class TestMultiUCoreCollapse:
@@ -286,3 +344,92 @@ class TestExpansion:
         budget = node_budget(node, "mmm", None, BASELINE)
         assert point.area == budget.area
         assert point.power == budget.power
+
+
+class TestBatchedEvaluation:
+    @pytest.mark.parametrize(
+        "scenario", GENERIC_SCENARIOS, ids=lambda s: s.name
+    )
+    def test_batch_kernel_equals_scalar_for_generic_chips(
+        self, scenario
+    ):
+        """Provider-wrapped chips keep their effective fabric and
+        sequential law under the batch kernel."""
+        configs = expand_configs(scenario, *GRIDS)
+        for chip, f, indices in config_groups(configs):
+            group = [configs[i] for i in indices]
+            assert optimize_batch(
+                chip, f, [c.eval_budget for c in group]
+            ) == [_scalar_optimize(c) for c in group]
+
+    @pytest.mark.parametrize(
+        "scenario", DIFFERENTIAL_SCENARIOS, ids=lambda s: s.name
+    )
+    def test_grouped_sweep_equals_per_config_optimize(self, scenario):
+        configs = expand_configs(scenario, *GRIDS)
+        points, infeasible = exhaustive_sweep(configs)
+        expected = []
+        for config in configs:
+            design = _scalar_optimize(config)
+            if design is not None:
+                expected.append((
+                    config.config_id, design.speedup, design.r,
+                    design.n, design.limiter.value,
+                ))
+        assert [
+            (p.config_id, p.speedup, p.r, p.n, p.limiter) for p in points
+        ] == expected
+        assert infeasible == len(configs) - len(expected)
+
+    @pytest.mark.parametrize(
+        "scenario", DIFFERENTIAL_SCENARIOS, ids=lambda s: s.name
+    )
+    def test_signatures_equal_scalar_bounds(self, scenario):
+        configs = expand_configs(scenario, *GRIDS)
+        expected = []
+        for config in configs:
+            try:
+                rs = feasible_r_values(config.chip, config.eval_budget)
+            except InfeasibleDesignError:
+                expected.append(None)
+                continue
+            expected.append(tuple(
+                (r, config.chip.bounds(config.eval_budget, r).n_effective)
+                for r in rs
+            ))
+        assert None in expected
+        assert feasible_signatures(configs) == expected
+
+    def test_one_span_per_group_and_exact_counts(self):
+        scenario = DSEScenario(
+            name="groups",
+            f_values=(0.9, 0.99),
+            chips=(
+                ChipSpec(kind="single", device="ASIC"),
+                ChipSpec(kind="single", device="GTX285"),
+            ),
+        )
+        configs = expand_configs(scenario, (1e-3, 1.0), (1.0,))
+        counter = _configs_counter()
+        before = {
+            o: counter.value(outcome=o) for o in ("ok", "infeasible")
+        }
+        get_tracer().clear()
+        points, infeasible = exhaustive_sweep(configs)
+        assert 0 < infeasible < len(configs)
+        assert counter.value(outcome="ok") - before["ok"] == len(points)
+        assert (
+            counter.value(outcome="infeasible") - before["infeasible"]
+            == infeasible
+        )
+        spans = [
+            s for s in get_tracer().spans() if s["name"] == "dse.evaluate"
+        ]
+        # 2 chips x 2 f
+        assert len(spans) == 4
+        assert sum(s["attributes"]["dse.configs"] for s in spans) == len(
+            configs
+        )
+        assert sum(
+            s["attributes"]["dse.infeasible"] for s in spans
+        ) == infeasible

@@ -8,7 +8,13 @@ configs.
 
 import pytest
 
-from repro.dse.dsl import ChipSpec, DSEScenario, SegmentSpec
+from repro.dse.dsl import (
+    ChipSpec,
+    DSEScenario,
+    SegmentSpec,
+    builtin_scenario,
+    builtin_scenario_names,
+)
 from repro.dse.engine import exhaustive_sweep, expand_configs
 from repro.dse.front import pareto_front
 from repro.dse.halving import successive_halving
@@ -65,22 +71,7 @@ class TestAcceptance:
         assert list(result.front) == pareto_front(points)
 
     def test_exactness_holds_for_multi_ucore_chips(self):
-        scenario = DSEScenario(
-            name="multi",
-            f_values=(0.99,),
-            chips=(
-                ChipSpec(kind="single", device="ASIC"),
-                ChipSpec(
-                    kind="multi",
-                    segments=(
-                        SegmentSpec(name="hot", weight=3.0,
-                                    device="ASIC"),
-                        SegmentSpec(name="simd", weight=1.0,
-                                    device="GTX480"),
-                    ),
-                ),
-            ),
-        )
+        scenario = _multi_scenario()
         grids = ((0.5, 1.0, 2.0), (0.5, 1.0))
         points, _ = exhaustive_sweep(
             expand_configs(scenario, *grids)
@@ -102,6 +93,75 @@ class TestAcceptance:
         result = successive_halving(scenario)
         for point in result.points:
             assert exhaustive[point.config_id] == point
+
+
+def _multi_scenario():
+    return DSEScenario(
+        name="multi",
+        f_values=(0.99,),
+        chips=(
+            ChipSpec(kind="single", device="ASIC"),
+            ChipSpec(
+                kind="multi",
+                segments=(
+                    SegmentSpec(name="hot", weight=3.0, device="ASIC"),
+                    SegmentSpec(name="simd", weight=1.0,
+                                device="GTX480"),
+                ),
+            ),
+        ),
+    )
+
+
+#: (n_configs, n_classes, n_infeasible, pruned_classes,
+#: full_evaluations, rung_evaluations) on AREA_GRID x POWER_GRID, as
+#: the per-config scalar implementation reported them.
+LEDGERS = {
+    "baseline": (1000, 400, 0, 382, 18, 418),
+    "low-bandwidth": (1000, 384, 0, 366, 18, 402),
+    "high-bandwidth": (1000, 408, 0, 390, 18, 426),
+    "half-area": (1000, 512, 0, 488, 24, 536),
+    "double-power": (1000, 428, 0, 405, 23, 452),
+    "low-power": (1000, 120, 200, 114, 6, 122),
+    "high-alpha": (1000, 400, 0, 382, 18, 418),
+    "alt-ginosar-sqrtm": (500, 200, 0, 182, 18, 218),
+    "alt-yavits": (500, 186, 0, 168, 18, 204),
+    "multi": (100, 35, 0, 17, 18, 54),
+}
+
+
+def _ledger_scenarios():
+    scenarios = [
+        builtin_scenario(name) for name in builtin_scenario_names()
+    ]
+    scenarios += [
+        DSEScenario(name=f"alt-{p}", provider=p, f_values=(0.9, 0.999))
+        for p in ("ginosar-sqrtm", "yavits")
+    ]
+    return scenarios + [_multi_scenario()]
+
+
+class TestLedger:
+    @pytest.mark.parametrize(
+        "scenario", _ledger_scenarios(), ids=lambda s: s.name
+    )
+    def test_front_and_counts_unchanged(self, scenario):
+        """Batched phase 0 and survivor evaluation keep the exhaustive
+        front and the halving ledger exactly."""
+        points, _ = exhaustive_sweep(
+            expand_configs(scenario, AREA_GRID, POWER_GRID)
+        )
+        result = successive_halving(
+            scenario,
+            area_scale_grid=AREA_GRID,
+            power_scale_grid=POWER_GRID,
+        )
+        assert list(result.front) == pareto_front(points)
+        assert (
+            result.n_configs, result.n_classes, result.n_infeasible,
+            result.pruned_classes, result.full_evaluations,
+            result.rung_evaluations,
+        ) == LEDGERS[scenario.name]
 
 
 class TestValidation:

@@ -11,6 +11,7 @@ random budgets far off the calibrated grid.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,9 +27,10 @@ from repro.core.chip import (
 from repro.core.constraints import Budget
 from repro.core.optimizer import optimize, sweep_designs
 from repro.core.ucore import UCore
-from repro.errors import InfeasibleDesignError
+from repro.errors import InfeasibleDesignError, ModelError
 from repro.itrs.scenarios import get_scenario, scenario_names
 from repro.perf.batch import (
+    effective_n_batch,
     optimize_batch,
     optimize_prefix_batch,
     sweep_designs_batch,
@@ -232,3 +234,94 @@ class TestPrefixBatchMatchesBatch:
         assert optimize_prefix_batch(
             SymmetricCMP(), 0.5, [Budget(area=10.0, power=10.0)], ()
         ) == {}
+
+
+class TestPerRowUCore:
+    """Per-row (mu, phi) overrides equal one chip per row, bit for bit."""
+
+    BASE = UCore(name="gpu-like", mu=3.0, phi=0.6, kind="gpu")
+    BUDGETS = (
+        Budget(area=19.0, power=10.0, bandwidth=42.0),
+        Budget(area=64.0, power=1e9, bandwidth=1e9),
+        Budget(area=149.0, power=36.0),
+        Budget(area=100.0, power=0.5),  # no feasible serial core
+        Budget(area=1.0, power=1e9),  # no fabric beyond r
+        Budget(area=300.0, power=80.0, bandwidth=5.0, alpha=2.5),
+    )
+
+    def _rows(self, seed):
+        rng = np.random.default_rng(seed)
+        n = len(self.BUDGETS)
+        return (
+            self.BASE.mu * rng.lognormal(0.0, 0.8, n),
+            self.BASE.phi * rng.lognormal(0.0, 0.8, n),
+        )
+
+    @pytest.mark.parametrize(
+        "chip_cls", (HeterogeneousChip, HeterogeneousAssistedChip)
+    )
+    @pytest.mark.parametrize("f", F_VALUES)
+    def test_rows_equal_one_chip_per_row(self, chip_cls, f):
+        mu, phi = self._rows(seed=int(f * 1000))
+        batch = optimize_batch(
+            chip_cls(self.BASE), f, self.BUDGETS, mu=mu, phi=phi
+        )
+        expected = [
+            _scalar_optimize(
+                chip_cls(UCore(name=self.BASE.name, mu=float(m),
+                               phi=float(p), kind="gpu")),
+                f, budget,
+            )
+            for m, p, budget in zip(mu, phi, self.BUDGETS)
+        ]
+        assert batch == expected
+
+    def test_equal_rows_are_the_per_chip_call(self):
+        chip = HeterogeneousChip(self.BASE)
+        n = len(self.BUDGETS)
+        assert optimize_batch(
+            chip, 0.99, self.BUDGETS,
+            mu=[self.BASE.mu] * n, phi=[self.BASE.phi] * n,
+        ) == optimize_batch(chip, 0.99, self.BUDGETS)
+
+    def test_one_override_keeps_the_other_parameter(self):
+        mu, _ = self._rows(seed=3)
+        chip = HeterogeneousChip(self.BASE)
+        expected = [
+            _scalar_optimize(
+                HeterogeneousChip(UCore(name=self.BASE.name, mu=float(m),
+                                        phi=self.BASE.phi, kind="gpu")),
+                0.9, budget,
+            )
+            for m, budget in zip(mu, self.BUDGETS)
+        ]
+        assert optimize_batch(chip, 0.9, self.BUDGETS, mu=mu) == expected
+
+    def test_validation(self):
+        chip = HeterogeneousChip(self.BASE)
+        budgets = self.BUDGETS[:2]
+        with pytest.raises(ModelError, match="U-core chip"):
+            optimize_batch(SymmetricCMP(), 0.9, budgets, mu=[1.0, 1.0])
+        with pytest.raises(ModelError, match="rows"):
+            optimize_batch(chip, 0.9, budgets, mu=[1.0])
+        with pytest.raises(ModelError, match="positive"):
+            optimize_batch(chip, 0.9, budgets, phi=[1.0, 0.0])
+        with pytest.raises(ModelError, match="positive"):
+            optimize_batch(chip, 0.9, budgets, mu=[1.0, math.nan])
+
+
+class TestEffectiveN:
+    def test_matches_scalar_bounds(self, basic_budget, roomy_budget):
+        budgets = [basic_budget, roomy_budget, Budget(area=9.0, power=2.0)]
+        for chip in _all_chips():
+            grid = effective_n_batch(chip, budgets, r_max=16)
+            assert grid.shape == (3, 16)
+            for i, budget in enumerate(budgets):
+                assert grid[i].tolist() == [
+                    chip.bounds(budget, r).n_effective
+                    for r in range(1, 17)
+                ]
+
+    def test_r_max_validated(self, basic_budget):
+        with pytest.raises(ModelError, match="r_max"):
+            effective_n_batch(SymmetricCMP(), [basic_budget], r_max=0)

@@ -1,14 +1,20 @@
 """Tests for the Pareto-frontier and sensitivity-analysis extensions."""
 
-import pytest
+import json
 
+import pytest
+from sensitivity_reference import reference_sensitivity
+
+from repro.core.chip import DynamicCMP, HeterogeneousAssistedChip
 from repro.errors import ModelError
+from repro.itrs.scenarios import get_scenario
+from repro.projection import sensitivity
 from repro.projection.pareto import (
     ParetoPoint,
     design_space_points,
     pareto_frontier,
 )
-from repro.projection.designs import standard_designs
+from repro.projection.designs import DesignSpec, standard_designs
 from repro.projection.sensitivity import (
     SensitivityConfig,
     run_sensitivity,
@@ -159,3 +165,65 @@ class TestSensitivity:
         )
         assert a.win_counts == b.win_counts
         assert a.speedups == b.speedups
+
+
+def _payload_bytes(summary):
+    return json.dumps(summary.payload(), sort_keys=True).encode()
+
+
+class TestSensitivityOracle:
+    """The batched study equals the per-trial reference loop, byte for
+    byte (``tests/sensitivity_reference.py``)."""
+
+    def _assert_equal(self, *args, **kwargs):
+        batched = run_sensitivity(*args, **kwargs)
+        reference = reference_sensitivity(*args, **kwargs)
+        assert _payload_bytes(batched) == _payload_bytes(reference)
+        assert batched.win_counts == reference.win_counts
+        return batched
+
+    @pytest.mark.parametrize("workload", ("mmm", "fft", "bs"))
+    @pytest.mark.parametrize("node_nm", (22, 11))
+    @pytest.mark.parametrize("seed", (7, 2010))
+    @pytest.mark.parametrize("trials", (1, 200))
+    def test_standard_designs(self, workload, node_nm, seed, trials):
+        self._assert_equal(
+            workload, 0.99, node_nm,
+            config=SensitivityConfig(trials=trials, seed=seed),
+        )
+
+    def test_designs_that_take_no_draws(self):
+        """Non-heterogeneous chips between U-core designs shift no
+        draws."""
+        designs = list(standard_designs("mmm"))
+        asic = designs[-1].chip.ucore
+        designs.insert(3, DesignSpec(
+            index=90, label="ASIC+core",
+            chip=HeterogeneousAssistedChip(asic),
+        ))
+        designs.insert(5, DesignSpec(
+            index=91, label="DynCMP", chip=DynamicCMP(),
+        ))
+        self._assert_equal(
+            "mmm", 0.9, 22, designs=designs,
+            config=SensitivityConfig(trials=50, seed=5),
+        )
+
+    def test_infeasible_designs_and_trials(self):
+        """Tiny bandwidth draws leave only the bandwidth-exempt ASIC
+        feasible, and some trials have no feasible design at all."""
+        summary = self._assert_equal(
+            "mmm", 0.99, 22, scenario=get_scenario("low-power"),
+            config=SensitivityConfig(
+                trials=100, seed=1, bandwidth_sigma=3.0, power_sigma=1.0,
+            ),
+        )
+        counts = {label: len(v) for label, v in summary.speedups.items()}
+        assert counts["SymCMP"] < counts["ASIC"] < 100
+        assert sum(summary.win_counts.values()) == counts["ASIC"]
+
+    def test_trials_span_several_kernel_calls(self, monkeypatch):
+        monkeypatch.setattr(sensitivity, "TRIAL_BLOCK", 7)
+        self._assert_equal(
+            "fft", 0.99, 11, config=SensitivityConfig(trials=50, seed=3),
+        )
