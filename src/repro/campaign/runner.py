@@ -60,6 +60,7 @@ from .spec import (
     SensitivityTask,
     SuccessiveHalvingTask,
     canonical_json,
+    sha256_text,
     task_hash,
 )
 from .store import ResultStore
@@ -446,26 +447,16 @@ class CampaignRunner:
 
     def manifest_path(self, spec: CampaignSpec) -> "os.PathLike":
         """Where the checkpoint manifest for ``spec`` lives."""
-        return (
-            self.store.directory
-            / f"manifest-{spec.spec_hash()[:16]}.json"
-        )
+        return self._manifest_path(spec.spec_hash())
+
+    def _manifest_path(self, spec_hash: str) -> "os.PathLike":
+        return self.store.directory / f"manifest-{spec_hash[:16]}.json"
 
     def _write_manifest(
-        self,
-        spec: CampaignSpec,
-        hashes: Sequence[str],
-        completed: Sequence[str],
+        self, head: Dict[str, Any], completed: Sequence[str]
     ) -> None:
-        payload = {
-            "spec": spec.payload(),
-            "spec_hash": spec.spec_hash(),
-            "model_version": __version__,
-            "total": len(hashes),
-            "tasks": list(hashes),
-            "completed": sorted(completed),
-        }
-        path = self.manifest_path(spec)
+        payload = dict(head, completed=sorted(completed))
+        path = self._manifest_path(head["spec_hash"])
         path.parent.mkdir(parents=True, exist_ok=True)
         # A private temp name, not path.with_suffix(".tmp"): joined
         # cluster processes checkpoint the same manifest concurrently,
@@ -478,9 +469,9 @@ class CampaignRunner:
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(
-                    json.dumps(payload, indent=2, sort_keys=True) + "\n"
-                )
+                # Compact: the manifest is rewritten after every task,
+                # and json's indenting encoder runs in pure Python.
+                handle.write(canonical_json(payload) + "\n")
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -515,6 +506,16 @@ class CampaignRunner:
         start = time.perf_counter()
         tasks = spec.tasks()
         hashes = [task_hash(task) for task in tasks]
+        # The manifest's fixed part, computed once: every task
+        # checkpoint rewrites the manifest from it.
+        spec_payload = spec.payload()
+        head = {
+            "spec": spec_payload,
+            "spec_hash": sha256_text(canonical_json(spec_payload)),
+            "model_version": __version__,
+            "total": len(hashes),
+            "tasks": list(hashes),
+        }
         sampler = acquire_sampler() if self.profile else None
         self._sampler = sampler
         window = sampler.mark() if sampler is not None else None
@@ -522,7 +523,7 @@ class CampaignRunner:
             with get_tracer().span(
                 "campaign.run",
                 attributes={
-                    "spec_hash": spec.spec_hash()[:16],
+                    "spec_hash": head["spec_hash"][:16],
                     "executor": self.executor,
                     "total": len(tasks),
                 },
@@ -533,7 +534,7 @@ class CampaignRunner:
                     else None
                 )
                 try:
-                    report = self._execute(spec, tasks, hashes)
+                    report = self._execute(spec, tasks, hashes, head)
                 finally:
                     if token is not None:
                         unbind_publisher(token)
@@ -561,6 +562,7 @@ class CampaignRunner:
         spec: CampaignSpec,
         tasks: Sequence[CampaignTask],
         hashes: Sequence[str],
+        head: Dict[str, Any],
     ) -> CampaignReport:
         outcomes: Dict[str, TaskOutcome] = {}
         completed: List[str] = []
@@ -580,7 +582,7 @@ class CampaignRunner:
             else:
                 pending.append((task, digest))
 
-        self._write_manifest(spec, hashes, completed)
+        self._write_manifest(head, completed)
         total = len(tasks)
         # Settle-to-settle sampler tick deltas: how many profiler
         # samples elapsed while this task was the newest thing to
@@ -610,7 +612,7 @@ class CampaignRunner:
                     # task span via the attached context.
                     self.store.put(outcome.hash, outcome.result)
                     completed.append(outcome.hash)
-                    self._write_manifest(spec, hashes, completed)
+                    self._write_manifest(head, completed)
             # Enrich after the span closed so the outcome carries the
             # final duration; the span is backdated to submit, making
             # duration_ms submit-to-settle wall time.

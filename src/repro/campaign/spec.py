@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
+from dataclasses import fields as dataclass_fields
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from ..errors import ModelError
@@ -517,11 +518,11 @@ class CampaignSpec:
 
 
 def _materialize_payload(task: MaterializeTask) -> Dict[str, Any]:
-    """``asdict`` with the grids as JSON-native lists."""
-    fields = asdict(task)
-    fields["f_grid"] = list(task.f_grid)
-    fields["r_grid"] = list(task.r_grid)
-    return fields
+    """The task's fields (no ``asdict`` deep copy), grids as lists."""
+    payload = {f.name: getattr(task, f.name) for f in dataclass_fields(task)}
+    payload["f_grid"] = list(task.f_grid)
+    payload["r_grid"] = list(task.r_grid)
+    return payload
 
 
 def _grid_tuple(key: str, values: Any, integral: bool) -> Tuple:

@@ -164,17 +164,18 @@ class ResultStore:
         """Atomically persist ``result`` under ``task_hash``.
 
         The result must be JSON-representable (campaign payloads are);
-        the envelope embeds a checksum over its canonical form.
+        the envelope embeds a checksum over its canonical form.  The
+        result is encoded once: its canonical body is spliced between
+        the envelope's other keys, in the sorted order
+        :func:`~repro.campaign.spec.canonical_json` would emit.
         """
         with profile_block("campaign.store.serialize"):
             body = canonical_json(result)
-            envelope = canonical_json(
-                {
-                    "task_hash": task_hash,
-                    "model_version": self.model_version,
-                    "checksum": sha256_text(body),
-                    "result": json.loads(body),
-                }
+            envelope = (
+                f'{{"checksum":{canonical_json(sha256_text(body))},'
+                f'"model_version":{canonical_json(self.model_version)},'
+                f'"result":{body},'
+                f'"task_hash":{canonical_json(task_hash)}}}'
             )
         path = self.path_for(task_hash)
         path.parent.mkdir(parents=True, exist_ok=True)

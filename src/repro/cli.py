@@ -419,12 +419,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     materialize.add_argument(
         "--jobs", type=int, default=None,
-        help="campaign worker count (default: CPU count)",
+        help="campaign worker count for the pooled executors "
+             "(default: CPU count)",
     )
     materialize.add_argument(
-        "--executor", default="process",
+        "--executor", default="serial",
         choices=("process", "thread", "serial"),
-        help="campaign pool flavour (default: process)",
+        help="campaign pool flavour (default: serial; the kernel work "
+             "is shorter than a process pool's start-up)",
     )
     materialize.add_argument(
         "--store-dir", default=None, metavar="DIR",

@@ -58,10 +58,16 @@ __all__ = [
     "optimize_batch",
     "optimize_prefix_batch",
     "effective_n_batch",
+    "PREFIX_CHANNELS",
 ]
 
 #: Chip models whose fabric is one U-core type described by (mu, phi).
 _UCORE_MODELS = ("heterogeneous", "heterogeneous-assisted")
+
+#: The arrays :func:`optimize_prefix_batch` returns, in channel order.
+PREFIX_CHANNELS = (
+    "speedup", "r", "n", "n_area", "n_power", "n_bandwidth", "feasible",
+)
 
 
 def _pow_matrix(
@@ -466,30 +472,31 @@ def optimize_prefix_batch(
     f: float,
     budgets: Sequence[Budget],
     r_maxes: Sequence[int],
-) -> Dict[int, List[Optional[DesignPoint]]]:
+) -> Dict[str, np.ndarray]:
     """One grid evaluation answering :func:`optimize_batch` for every
-    ``r_max`` in ``r_maxes`` at once.
+    ``r_max`` in ``r_maxes`` at once, as arrays.
 
     The grid columns are r_max-independent: every bound, the
     feasibility mask and the speedup of candidate ``r`` are elementwise
     functions of ``(budget, r)``, and the serial-bound mask is
     ``r <= max_serial_r`` per column.  A smaller ``r_max`` therefore
-    only *restricts the argmax to a prefix* of the same columns, so
-    ``np.argmax(score[:, :r_max])`` over one evaluation at
-    ``max(r_maxes)`` is bit-identical to a fresh
-    ``optimize_batch(..., r_max)`` call -- including first-max-wins
-    tie-breaking, which prefix slicing preserves.
+    only *restricts the argmax to a prefix* of the same columns: one
+    evaluation at ``max(r_maxes)``, with the columns past ``r_max``
+    masked to ``-inf``, picks the same lane as a fresh
+    ``optimize_batch(..., r_max)`` call, first-max-wins ties included.
 
-    Returns ``{r_max: [point-or-None per budget]}``.  The tensor
-    materializer uses this to fill a whole ``(node, r_max)`` plane with
-    one NumPy pass instead of ``len(r_maxes)`` passes.
+    Returns one float64 array per :data:`PREFIX_CHANNELS` entry, of
+    shape ``(len(budgets), len(r_maxes))`` with one column per distinct
+    ``r_max`` in ascending order: the winning lane's values,
+    bit-identical to the matching ``DesignPoint`` fields (NaN where no
+    lane is feasible), and ``feasible`` as 1.0 or 0.0.  The tensor
+    materializer fills a whole ``(node, r_max)`` plane per call.
     """
     budgets = list(budgets)
     r_maxes = sorted({int(r) for r in r_maxes})
-    if not r_maxes:
-        return {}
-    if not budgets:
-        return {r: [] for r in r_maxes}
+    if not budgets or not r_maxes:
+        shape = (len(budgets), len(r_maxes))
+        return {channel: np.empty(shape) for channel in PREFIX_CHANNELS}
     with profile_block("perf.optimize_prefix_batch") as phase:
         if phase.traced:
             phase.set_attribute("chip", chip.label)
@@ -504,30 +511,31 @@ def optimize_prefix_batch(
             ceilings = np.array([chip.max_serial_r(b) for b in budgets])
             r_arr = np.array(candidates, dtype=float)[None, :]
             serial_ok = r_arr <= ceilings[:, None]
-            arrays = _evaluate_grid(
-                chip, f, budgets, candidates, serial_ok
+            n_area, n_power, n_bandwidth, n, mask, speedup = (
+                _evaluate_grid(chip, f, budgets, candidates, serial_ok)
             )
-            mask, speedup = arrays[4], arrays[5]
             score = np.where(mask, speedup, -np.inf)
-        # Winning lanes repeat across prefixes; materialise each (i, j)
-        # cell once and share the frozen DesignPoint.
-        memo: Dict[Tuple[int, int], DesignPoint] = {}
-        out: Dict[int, List[Optional[DesignPoint]]] = {}
-        for r_max in r_maxes:
-            best_j = np.argmax(score[:, :r_max], axis=1)
-            points: List[Optional[DesignPoint]] = []
-            for i in range(len(budgets)):
-                j = int(best_j[i])
-                if not mask[i, j]:
-                    points.append(None)
-                    continue
-                point = memo.get((i, j))
-                if point is None:
-                    point = memo[(i, j)] = _make_point(
-                        chip, f, candidates[j], arrays, i, j
-                    )
-                points.append(point)
-            out[r_max] = points
+        # prefix[k, j]: column j lies inside r_maxes[k]'s prefix.
+        prefix = r_arr <= np.array(r_maxes, dtype=float)[:, None]
+        best_j = np.argmax(
+            np.where(prefix[None, :, :], score[:, None, :], -np.inf),
+            axis=2,
+        )
+        rows = np.arange(len(budgets))[:, None]
+        feasible = mask[rows, best_j]
+        r_grid = np.broadcast_to(r_arr, mask.shape)
+        out = {
+            channel: np.where(feasible, values[rows, best_j], np.nan)
+            for channel, values in (
+                ("speedup", speedup),
+                ("r", r_grid),
+                ("n", n),
+                ("n_area", n_area),
+                ("n_power", n_power),
+                ("n_bandwidth", n_bandwidth),
+            )
+        }
+        out["feasible"] = feasible.astype(np.float64)
         return out
 
 

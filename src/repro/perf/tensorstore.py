@@ -17,11 +17,12 @@ This module turns that observation into a durable artifact:
   rebuild resumes from cached task results and every tensor cell is
   traceable to a task hash.
 * :func:`materialize_task_payload` evaluates one design's full
-  ``(f-grid x r-grid x node)`` block via
+  ``(node x f-grid x r-grid)`` block via
   :func:`~repro.perf.batch.optimize_prefix_batch` -- one grid
   evaluation per ``f``, prefix-argmax for every ``r_max``, bit-identical
-  to per-request :func:`~repro.perf.batch.optimize_batch` calls.
-* :func:`build_tensor_store` assembles the campaign results into dense
+  to per-request :func:`~repro.perf.batch.optimize_batch` calls -- and
+  carries each channel's block as base64 of its raw ``<f8`` bytes.
+* :func:`build_tensor_store` concatenates the designs' blocks into dense
   ``(design x node x f x r)`` float64 channel tensors, written as raw
   little-endian ``.f64`` files named by content hash, described by a
   checksummed JSON manifest that is published *last* via atomic rename
@@ -56,12 +57,13 @@ live compute), so corruption can cost speed, never correctness.
 
 from __future__ import annotations
 
+import base64
+import hashlib
 import json
 import math
 import os
 import tempfile
 import time
-from dataclasses import asdict
 from pathlib import Path
 from typing import (
     Any,
@@ -84,7 +86,7 @@ from ..obs.history import envelope
 from ..obs.profiling import profile_block
 from ..projection.designs import standard_designs
 from ..projection.engine import node_budget
-from .batch import optimize_prefix_batch
+from .batch import PREFIX_CHANNELS, optimize_prefix_batch
 
 __all__ = [
     "DEFAULT_F_GRID",
@@ -109,15 +111,7 @@ DEFAULT_F_GRID: Tuple[float, ...] = tuple(
 )
 
 #: Channel order inside every group's tensor block.
-CHANNELS: Tuple[str, ...] = (
-    "speedup",
-    "r",
-    "n",
-    "n_area",
-    "n_power",
-    "n_bandwidth",
-    "feasible",
-)
+CHANNELS: Tuple[str, ...] = PREFIX_CHANNELS
 
 #: The manifest file name -- its atomic appearance *is* the publish.
 MANIFEST_NAME = "tensor-manifest.json"
@@ -141,28 +135,6 @@ _SCHEMA_VERSION = 1
 def default_r_grid() -> Tuple[int, ...]:
     """The contiguous ``r_max`` grid ``(1, ..., DEFAULT_R_MAX)``."""
     return tuple(range(1, DEFAULT_R_MAX + 1))
-
-
-# -- value codec -----------------------------------------------------------
-#
-# Campaign payloads travel through canonical_json (allow_nan=False), so
-# non-finite floats -- the bandwidth-exempt ASIC's infinite bandwidth
-# bound -- are encoded as strings.  repr-shortest floats round-trip
-# exactly, so a value decoded here and written into a float64 tensor is
-# bit-identical to the live computation that produced it.
-
-
-def _encode_value(value: float) -> Any:
-    value = float(value)
-    if math.isfinite(value):
-        return value
-    if math.isnan(value):
-        return "nan"
-    return "inf" if value > 0 else "-inf"
-
-
-def _decode_value(value: Any) -> float:
-    return float(value)
 
 
 # -- campaign expansion ----------------------------------------------------
@@ -208,15 +180,19 @@ def materialize_spec(
 
 
 def materialize_task_payload(task) -> Dict[str, Any]:
-    """One design's dense ``(f x r_max x node)`` block of optima.
+    """One design's dense ``(node x f x r_max)`` block of optima.
 
     Runs inside campaign workers (module-level, picklable).  For each
     ``f`` a single :func:`optimize_prefix_batch` call evaluates the
     whole candidate grid once and reads off the optimum for *every*
     ``r_max`` -- bit-identical to per-``r_max``
     :func:`~repro.perf.batch.optimize_batch` calls, at 1/len(r_grid)
-    the cost.
+    the cost.  Each channel's block travels as base64 of its raw
+    little-endian ``<f8`` bytes (JSON cannot carry the NaN of an
+    infeasible cell or the bandwidth-exempt ASIC's infinite bound).
     """
+    from ..campaign.spec import _materialize_payload
+
     scenario = get_scenario(task.scenario)
     designs = standard_designs(task.workload, task.fft_size)
     matches = [d for d in designs if d.short_label == task.design]
@@ -239,44 +215,22 @@ def materialize_task_payload(task) -> Dict[str, Any]:
         )
         for node in nodes
     ]
+    shape = (len(nodes), len(task.f_grid), len(task.r_grid))
+    blocks = {channel: np.empty(shape) for channel in CHANNELS}
     with profile_block("perf.materialize_task") as phase:
         if phase.traced:
             phase.set_attribute("workload", task.workload)
             phase.set_attribute("design", task.design)
             phase.set_attribute("f_points", len(task.f_grid))
-        planes: List[List[List[Optional[Dict[str, Any]]]]] = []
-        for f in task.f_grid:
-            by_r_max = optimize_prefix_batch(
+        for f_idx, f in enumerate(task.f_grid):
+            plane = optimize_prefix_batch(
                 design.chip, f, budgets, task.r_grid
             )
-            rows: List[List[Optional[Dict[str, Any]]]] = []
-            for r_max in task.r_grid:
-                row: List[Optional[Dict[str, Any]]] = []
-                for point in by_r_max[r_max]:
-                    if point is None:
-                        row.append(None)
-                        continue
-                    row.append(
-                        {
-                            "r": point.r,
-                            "n": point.n,
-                            "speedup": _encode_value(point.speedup),
-                            "n_area": _encode_value(
-                                point.bounds.n_area
-                            ),
-                            "n_power": _encode_value(
-                                point.bounds.n_power
-                            ),
-                            "n_bandwidth": _encode_value(
-                                point.bounds.n_bandwidth
-                            ),
-                        }
-                    )
-                rows.append(row)
-            planes.append(rows)
+            for channel in CHANNELS:
+                blocks[channel][:, f_idx, :] = plane[channel]
     return {
         "kind": "materialize",
-        "task": asdict(task),
+        "task": _materialize_payload(task),
         "design": {
             "short_label": design.short_label,
             "label": design.label,
@@ -288,7 +242,12 @@ def materialize_task_payload(task) -> Dict[str, Any]:
             {"label": node.label, "node_nm": node.node_nm}
             for node in nodes
         ],
-        "planes": planes,
+        "blocks": {
+            channel: base64.b64encode(
+                block.astype("<f8").tobytes()
+            ).decode("ascii")
+            for channel, block in blocks.items()
+        },
     }
 
 
@@ -308,14 +267,13 @@ def _group_stem(key: Tuple[str, str, Optional[int]]) -> str:
 
 
 def _write_channel(directory: Path, stem: str,
-                   array: np.ndarray) -> Dict[str, Any]:
+                   blob: bytes) -> Dict[str, Any]:
     """Persist one channel tensor atomically; return its manifest row.
 
     The file name embeds a content-hash prefix, so a rebuild that
     produces different bytes never silently aliases an old file, and a
     manifest always points at exactly the bytes it was computed over.
     """
-    blob = np.ascontiguousarray(array, dtype="<f8").tobytes()
     digest = _sha256_bytes(blob)
     name = f"{stem}-{digest[:8]}.f64"
     path = directory / name
@@ -338,9 +296,12 @@ def _write_channel(directory: Path, stem: str,
 
 
 def _sha256_bytes(blob: bytes) -> str:
-    import hashlib
-
     return hashlib.sha256(blob).hexdigest()
+
+
+def _is_columnar(payload: Dict[str, Any]) -> bool:
+    """False for a per-cell payload cached by an older build."""
+    return isinstance(payload.get("blocks"), dict)
 
 
 def _assemble_group(
@@ -348,12 +309,20 @@ def _assemble_group(
     entries: Sequence[Tuple[Any, str, Dict[str, Any]]],
     directory: Path,
 ) -> Dict[str, Any]:
-    """Stack one group's task payloads into channel tensors on disk."""
+    """Stack one group's task payloads into channel tensors on disk.
+
+    Each design's block is its ``(node, f, r)`` slab of the C-ordered
+    ``(design, node, f, r)`` tensor, so a channel file is the designs'
+    raw blocks concatenated in task order.
+    """
     scenario, workload, fft_size = key
     first_task = entries[0][0]
     f_grid, r_grid = first_task.f_grid, first_task.r_grid
     nodes = entries[0][2]["nodes"]
-    for task, _, payload in entries:
+    block_shape = [len(nodes), len(f_grid), len(r_grid)]
+    block_bytes = int(np.prod(block_shape)) * 8
+    chunks: Dict[str, List[bytes]] = {c: [] for c in CHANNELS}
+    for task, digest, payload in entries:
         if (task.f_grid, task.r_grid) != (f_grid, r_grid):
             raise TensorStoreError(
                 f"materialize tasks for group {key} disagree on grids"
@@ -362,29 +331,18 @@ def _assemble_group(
             raise TensorStoreError(
                 f"materialize tasks for group {key} disagree on nodes"
             )
-    shape = (len(entries), len(nodes), len(f_grid), len(r_grid))
-    tensors = {
-        channel: np.full(shape, np.nan, dtype=np.float64)
-        for channel in CHANNELS
-    }
-    tensors["feasible"].fill(0.0)
-    for d_idx, (_, _, payload) in enumerate(entries):
-        planes = payload["planes"]
-        for f_idx in range(len(f_grid)):
-            for r_idx in range(len(r_grid)):
-                for n_idx in range(len(nodes)):
-                    cell = planes[f_idx][r_idx][n_idx]
-                    if cell is None:
-                        continue
-                    tensors["feasible"][d_idx, n_idx, f_idx, r_idx] = 1.0
-                    for channel in CHANNELS[:-1]:
-                        tensors[channel][d_idx, n_idx, f_idx, r_idx] = (
-                            _decode_value(cell[channel])
-                        )
+        for channel in CHANNELS:
+            blob = base64.b64decode(payload["blocks"][channel])
+            if len(blob) != block_bytes:
+                raise TensorStoreError(
+                    f"materialize task {digest[:16]} {channel} block "
+                    f"is {len(blob)} bytes, expected {block_bytes}"
+                )
+            chunks[channel].append(blob)
     stem = _group_stem(key)
     channels = {
         channel: _write_channel(
-            directory, f"{stem}-{channel}", tensors[channel]
+            directory, f"{stem}-{channel}", b"".join(chunks[channel])
         )
         for channel in CHANNELS
     }
@@ -400,7 +358,7 @@ def _assemble_group(
             }
             for _, digest, payload in entries
         ],
-        "shape": list(shape),
+        "shape": [len(entries), *block_shape],
         "channels": channels,
     }
 
@@ -410,7 +368,7 @@ def build_tensor_store(
     spec=None,
     store=None,
     workers: Optional[int] = None,
-    executor: str = "process",
+    executor: str = "serial",
     resume: bool = False,
     progress=None,
     timestamp: Optional[float] = None,
@@ -422,39 +380,54 @@ def build_tensor_store(
     The campaign runs under a :class:`~repro.campaign.store.ResultStore`
     (``store``; ephemeral when None); with ``resume=True`` an
     interrupted or repeated build reuses cached task results instead of
-    recomputing them.  Channel files land first, each atomically; the
-    checksummed manifest is renamed into place last and is the store's
-    commit point.
+    recomputing them; cached payloads in the older per-cell format are
+    recomputed.  ``executor`` defaults to ``"serial"``: the whole paper
+    grid is under a second of kernel work, less than a ``spawn`` pool
+    spends importing the package in its workers.  Channel files land
+    first, each atomically; the checksummed manifest is renamed into
+    place last and is the store's commit point.
     """
     from ..campaign.runner import CampaignRunner
-    from ..campaign.spec import task_hash
+    from ..campaign.spec import CampaignSpec, task_hash
 
     if spec is None:
         spec = materialize_spec()
     tasks = spec.tasks()
     if not tasks:
         raise TensorStoreError("materialize spec expands to no tasks")
-    runner = CampaignRunner(
-        store=store,
-        workers=workers,
-        executor=executor,
-        resume=resume,
-        progress=progress,
-    )
-    report = runner.run(spec)
-    if not report.ok:
-        first = next(
-            o for o in report.outcomes if o.status == "failed"
-        )
-        raise TensorStoreError(
-            f"materialize campaign failed {report.failed} of "
-            f"{len(report.outcomes)} tasks; first: {first.error}"
-        )
+
+    def _run(run_spec, resume_run: bool) -> List:
+        report = CampaignRunner(
+            store=store,
+            workers=workers,
+            executor=executor,
+            resume=resume_run,
+            progress=progress,
+        ).run(run_spec)
+        if not report.ok:
+            first = next(
+                o for o in report.outcomes if o.status == "failed"
+            )
+            raise TensorStoreError(
+                f"materialize campaign failed {report.failed} of "
+                f"{len(report.outcomes)} tasks; first: {first.error}"
+            )
+        return report.outcomes
+
+    outcomes = {o.hash: o for o in _run(spec, resume)}
+    stale = [o.task for o in outcomes.values()
+             if not _is_columnar(o.result)]
+    if stale:
+        # A result store written by an older build can hold per-cell
+        # payloads under the same task hashes: recompute those tasks,
+        # overwriting their entries, instead of assembling from them.
+        rerun = CampaignSpec(name=spec.name, materialize=tuple(stale))
+        outcomes.update((o.hash, o) for o in _run(rerun, False))
 
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     groups: Dict[Tuple[str, str, Optional[int]], List] = {}
-    for outcome in report.outcomes:
+    for outcome in outcomes.values():
         groups.setdefault(_group_key(outcome.task), []).append(
             (outcome.task, outcome.hash, outcome.result)
         )

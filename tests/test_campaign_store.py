@@ -139,3 +139,76 @@ class TestEphemeral:
         store.flush()
         store.put(HASH_A, PAYLOAD)
         store.flush()
+
+
+def _dict_envelope(task_hash, model_version, result):
+    """The envelope as ``put`` used to build it: a dict re-encoded
+    around the decoded canonical body."""
+    from repro.campaign.spec import canonical_json, sha256_text
+
+    body = canonical_json(result)
+    return canonical_json(
+        {
+            "task_hash": task_hash,
+            "model_version": model_version,
+            "checksum": sha256_text(body),
+            "result": json.loads(body),
+        }
+    )
+
+
+@pytest.fixture(scope="module")
+def real_payloads():
+    """One executed payload of every campaign task kind."""
+    from repro.campaign.runner import execute_task
+    from repro.campaign.spec import (
+        FigureTask,
+        MaterializeTask,
+        ParetoFrontTask,
+        SensitivityTask,
+        SuccessiveHalvingTask,
+    )
+    from repro.dse.dsl import builtin_scenario
+
+    scenario = builtin_scenario("baseline").canonical()
+    tasks = {
+        "figure": FigureTask(figure="F6", workload="fft", f=0.99,
+                             fft_size=1024),
+        "dse-pareto": ParetoFrontTask(scenario_json=scenario,
+                                      area_scale_grid=(0.5, 1.0)),
+        "dse-halving": SuccessiveHalvingTask(
+            scenario_json=scenario, area_scale_grid=(0.5, 1.0)
+        ),
+        "sensitivity": SensitivityTask(trials=20),
+        "materialize": MaterializeTask(
+            workload="mmm", design="ASIC", f_grid=(0.5, 0.99),
+            r_grid=(1, 2, 3),
+        ),
+    }
+    return {kind: execute_task(task) for kind, task in tasks.items()}
+
+
+class TestSplicedEnvelope:
+    """``put`` encodes the result once and splices it into the
+    envelope; the bytes must equal the dict-based encoding."""
+
+    @pytest.mark.parametrize("kind", [
+        "figure", "dse-pareto", "dse-halving", "sensitivity",
+        "materialize",
+    ])
+    def test_envelope_bytes_match_dict_encoding(self, store,
+                                                real_payloads, kind):
+        payload = real_payloads[kind]
+        path = store.put(HASH_A, payload)
+        assert path.read_text(encoding="utf-8") == _dict_envelope(
+            HASH_A, store.model_version, payload
+        )
+        assert store.get(HASH_A) == json.loads(json.dumps(payload))
+
+    def test_escaped_strings_and_nesting(self, store):
+        payload = {"b": ['quote " and \\ and é'], "a": {"z": 1,
+                   "y": [None, True, 1e-300, -0.0]}}
+        path = store.put(HASH_B, payload)
+        assert path.read_text(encoding="utf-8") == _dict_envelope(
+            HASH_B, store.model_version, payload
+        )

@@ -30,6 +30,7 @@ from repro.core.ucore import UCore
 from repro.errors import InfeasibleDesignError, ModelError
 from repro.itrs.scenarios import get_scenario, scenario_names
 from repro.perf.batch import (
+    PREFIX_CHANNELS,
     effective_n_batch,
     optimize_batch,
     optimize_prefix_batch,
@@ -175,10 +176,51 @@ def test_random_budget_parity(area, power, bandwidth, alpha, f,
     ]
 
 
+def _prefix_expected(chip, f, budgets, r_max):
+    """``optimize_batch``'s DesignPoints as the prefix kernel's column:
+    NaN for every value channel of an infeasible row."""
+    expected = {c: np.full(len(budgets), np.nan) for c in PREFIX_CHANNELS}
+    expected["feasible"][:] = 0.0
+    for i, point in enumerate(
+        optimize_batch(chip, f, budgets, r_max=r_max)
+    ):
+        if point is None:
+            continue
+        expected["speedup"][i] = point.speedup
+        expected["r"][i] = point.r
+        expected["n"][i] = point.n
+        expected["n_area"][i] = point.bounds.n_area
+        expected["n_power"][i] = point.bounds.n_power
+        expected["n_bandwidth"][i] = point.bounds.n_bandwidth
+        expected["feasible"][i] = 1.0
+    return expected
+
+
+def _assert_prefix_matches(chip, f, budgets, r_maxes):
+    """Every column of the array return equals a fresh
+    ``optimize_batch`` at that ``r_max``, compared as raw bits (so NaN
+    positions and infinite bounds count too); returns the arrays."""
+    prefix = optimize_prefix_batch(chip, f, budgets, r_maxes)
+    assert set(prefix) == set(PREFIX_CHANNELS)
+    for k, r_max in enumerate(sorted(set(r_maxes))):
+        expected = _prefix_expected(chip, f, budgets, r_max)
+        for channel in PREFIX_CHANNELS:
+            got = prefix[channel]
+            assert got.dtype == np.float64
+            assert got.shape == (len(budgets), len(set(r_maxes)))
+            np.testing.assert_array_equal(
+                got[:, k].view(np.uint64),
+                expected[channel].view(np.uint64),
+                err_msg=f"{chip.label} f={f} r_max={r_max} {channel}",
+            )
+    return prefix
+
+
 class TestPrefixBatchMatchesBatch:
-    """optimize_prefix_batch must equal a fresh optimize_batch call
-    for every r_max -- same bit-for-bit contract as the scalar tests
-    above.  This is the equality the tensor materializer rests on."""
+    """optimize_prefix_batch's arrays must equal a fresh optimize_batch
+    call for every r_max -- same bit-for-bit contract as the scalar
+    tests above.  This is the equality the tensor materializer rests
+    on."""
 
     R_MAXES = tuple(range(1, 17))
 
@@ -194,23 +236,16 @@ class TestPrefixBatchMatchesBatch:
                 )
                 for node in scenario.roadmap.nodes
             ]
-            prefix = optimize_prefix_batch(
+            prefix = _assert_prefix_matches(
                 design.chip, f, budgets, self.R_MAXES
             )
-            for r_max in self.R_MAXES:
-                assert prefix[r_max] == optimize_batch(
-                    design.chip, f, budgets, r_max=r_max
-                )
+            if design.bandwidth_exempt:
+                feasible = prefix["feasible"] == 1.0
+                assert np.isinf(prefix["n_bandwidth"][feasible]).all()
 
     def test_all_models_basic_budget(self, basic_budget):
         for chip in _all_chips():
-            prefix = optimize_prefix_batch(
-                chip, 0.9, [basic_budget], self.R_MAXES
-            )
-            for r_max in self.R_MAXES:
-                assert prefix[r_max] == optimize_batch(
-                    chip, 0.9, [basic_budget], r_max=r_max
-                )
+            _assert_prefix_matches(chip, 0.9, [basic_budget], self.R_MAXES)
 
     def test_infeasible_cells_match(self):
         chip = HeterogeneousChip(
@@ -221,19 +256,18 @@ class TestPrefixBatchMatchesBatch:
             Budget(area=100.0, power=0.5),
             Budget(area=1.0, power=1e9),
         ]
-        prefix = optimize_prefix_batch(chip, 0.99, budgets, (1, 4, 16))
-        for r_max in (1, 4, 16):
-            assert prefix[r_max] == optimize_batch(
-                chip, 0.99, budgets, r_max=r_max
-            )
+        prefix = _assert_prefix_matches(chip, 0.99, budgets, (16, 4, 1))
+        assert 0.0 in prefix["feasible"]
+        assert np.isnan(prefix["speedup"][prefix["feasible"] == 0.0]).all()
 
     def test_empty_inputs(self):
-        assert optimize_prefix_batch(SymmetricCMP(), 0.5, [], (1, 2)) == {
-            1: [], 2: [],
-        }
-        assert optimize_prefix_batch(
+        empty = optimize_prefix_batch(SymmetricCMP(), 0.5, [], (1, 2))
+        assert set(empty) == set(PREFIX_CHANNELS)
+        assert all(a.shape == (0, 2) for a in empty.values())
+        none = optimize_prefix_batch(
             SymmetricCMP(), 0.5, [Budget(area=10.0, power=10.0)], ()
-        ) == {}
+        )
+        assert all(a.shape == (1, 0) for a in none.values())
 
 
 class TestPerRowUCore:

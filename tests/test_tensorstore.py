@@ -16,6 +16,7 @@ The contract under test is the serving fast path's foundation:
   exist.
 """
 
+import base64
 import json
 import math
 import shutil
@@ -25,6 +26,7 @@ import pytest
 from repro.errors import TensorStoreError
 from repro.perf.batch import optimize_batch
 from repro.perf.tensorstore import (
+    CHANNELS,
     MANIFEST_NAME,
     REL_ERROR_BOUND,
     TensorStore,
@@ -291,3 +293,161 @@ class TestInterpolation:
             )
             assert cell.outcome == "miss"
             assert cell.reason == "non-finite f"
+
+
+def _channel_digests(directory):
+    import hashlib
+
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.glob("*.f64"))
+    }
+
+
+class TestDefaultBuildGolden:
+    """The default CLI build publishes exactly the pinned channel files
+    -- names and SHA-256 -- that the per-cell JSON materializer
+    produced before the columnar one replaced it."""
+
+    def test_default_build_matches_pinned_digests(self, tmp_path,
+                                                  capsys):
+        from pathlib import Path
+
+        from repro.cli import main
+
+        fixture = (
+            Path(__file__).parent / "fixtures"
+            / "tensorstore_default_sha256.json"
+        )
+        pinned = json.loads(fixture.read_text())["files"]
+        directory = tmp_path / "default"
+        assert main(["materialize", "build", "--dir", str(directory)]) == 0
+        assert "146880 cells" in capsys.readouterr().out
+        assert _channel_digests(directory) == pinned
+        assert main(["materialize", "verify", "--dir", str(directory)]) == 0
+
+
+class TestColumnarPayload:
+    TASK_KW = dict(workload="mmm", design="ASIC", f_grid=F_GRID,
+                   r_grid=R_GRID)
+
+    def test_no_design_point_on_the_materialize_path(self, monkeypatch):
+        from repro.campaign.spec import MaterializeTask
+        from repro.core.optimizer import DesignPoint
+        from repro.perf.tensorstore import materialize_task_payload
+
+        def _forbidden(*args, **kwargs):
+            raise AssertionError("DesignPoint built while materializing")
+
+        monkeypatch.setattr(DesignPoint, "__init__", _forbidden)
+        payload = materialize_task_payload(MaterializeTask(**self.TASK_KW))
+        assert sorted(payload["blocks"]) == sorted(CHANNELS)
+        for block in payload["blocks"].values():
+            raw = base64.b64decode(block)
+            assert len(raw) == 5 * len(F_GRID) * len(R_GRID) * 8
+
+    def test_resume_from_columnar_payloads_is_byte_identical(
+        self, store_dir, tmp_path
+    ):
+        from repro.campaign.store import ResultStore
+
+        spec = materialize_spec(workloads=WORKLOADS, f_grid=F_GRID,
+                                r_grid=R_GRID)
+        store = ResultStore(tmp_path / "results")
+        build_tensor_store(tmp_path / "first", spec=spec, store=store)
+        statuses = []
+        build_tensor_store(
+            tmp_path / "resumed", spec=spec, store=store, resume=True,
+            progress=lambda outcome, done, total: statuses.append(
+                outcome.status
+            ),
+        )
+        assert statuses and set(statuses) == {"cached"}
+        assert (
+            _channel_digests(tmp_path / "resumed")
+            == _channel_digests(tmp_path / "first")
+            == _channel_digests(store_dir)
+        )
+
+
+def _per_cell_payload(task):
+    """The per-cell ``"planes"`` payload older builds cached under the
+    same task hash: one dict (or None) per ``(f, r_max, node)``, non-
+    finite floats as strings.  Speedups are doubled, so assembling
+    from it could only ever publish wrong bytes."""
+    from repro.perf.tensorstore import materialize_task_payload
+
+    payload = materialize_task_payload(task)
+    del payload["blocks"]
+    scenario = get_scenario(task.scenario)
+    design = next(
+        d for d in standard_designs(task.workload, task.fft_size)
+        if d.short_label == task.design
+    )
+    budgets = [
+        node_budget(node, task.workload, task.fft_size, scenario,
+                    bandwidth_exempt=design.bandwidth_exempt)
+        for node in scenario.roadmap.nodes
+    ]
+
+    def encode(value):
+        return value if math.isfinite(value) else str(value)
+
+    def cell(point):
+        if point is None:
+            return None
+        return {
+            "r": point.r,
+            "n": point.n,
+            "speedup": 2.0 * point.speedup,
+            "n_area": encode(point.bounds.n_area),
+            "n_power": encode(point.bounds.n_power),
+            "n_bandwidth": encode(point.bounds.n_bandwidth),
+        }
+
+    payload["planes"] = [
+        [
+            [cell(p) for p in optimize_batch(design.chip, f, budgets,
+                                             r_max=r_max)]
+            for r_max in task.r_grid
+        ]
+        for f in task.f_grid
+    ]
+    return payload
+
+
+class TestStalePerCellStore:
+    """A ``--store-dir`` holding per-cell payloads from an older build
+    (same task hashes, same model version) is recomputed, never
+    assembled from and never a ``KeyError``."""
+
+    def test_refresh_recomputes_stale_payloads(self, store_dir,
+                                               tmp_path):
+        from repro.campaign.spec import task_hash
+        from repro.campaign.store import ResultStore
+        from repro.perf.tensorstore import _is_columnar
+
+        spec = materialize_spec(workloads=WORKLOADS, f_grid=F_GRID,
+                                r_grid=R_GRID)
+        store = ResultStore(tmp_path / "results")
+        tasks = spec.tasks()
+        for task in tasks:
+            store.put(task_hash(task), _per_cell_payload(task))
+        assert not any(
+            _is_columnar(store.get(task_hash(t))) for t in tasks
+        )
+        statuses = []
+        build_tensor_store(
+            tmp_path / "refreshed", spec=spec, store=store, resume=True,
+            progress=lambda outcome, done, total: statuses.append(
+                outcome.status
+            ),
+        )
+        assert statuses.count("executed") == len(tasks)
+        assert _channel_digests(tmp_path / "refreshed") == (
+            _channel_digests(store_dir)
+        )
+        assert all(_is_columnar(store.get(task_hash(t))) for t in tasks)
+        assert TensorStore.load(tmp_path / "refreshed").verify()[
+            "status"
+        ] == "ok"
