@@ -300,11 +300,20 @@ class LeaseManager:
             dir=str(self.directory), prefix=".lease-", suffix=".tmp"
         )
         try:
-            os.write(fd, json.dumps(lease.payload(), sort_keys=True).encode())
-            os.fsync(fd)
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(
+                    json.dumps(lease.payload(), sort_keys=True).encode()
+                )
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            # A full disk must not leave a stray temp file per renewal.
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
 
     def _quarantine(self, path: Path) -> None:
         """Move a malformed lease aside; the slot becomes claimable."""

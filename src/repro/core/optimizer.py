@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional
 
 from ..errors import InfeasibleDesignError, ModelError
 from ..obs.profiling import profile_block
@@ -175,16 +175,10 @@ def sweep_designs(
     f: float,
     budget: Budget,
     r_max: int = DEFAULT_R_MAX,
-    r_values: Optional[Iterable[float]] = None,
 ) -> List[DesignPoint]:
     """Evaluate every feasible r; returns points in ascending r order."""
-    candidates: Sequence[float]
-    if r_values is None:
-        candidates = feasible_r_values(chip, budget, r_max)
-    else:
-        candidates = list(r_values)
     points = []
-    for r in candidates:
+    for r in feasible_r_values(chip, budget, r_max):
         point = evaluate_design(chip, f, budget, r)
         if point is not None:
             points.append(point)
@@ -196,7 +190,6 @@ def optimize(
     f: float,
     budget: Budget,
     r_max: int = DEFAULT_R_MAX,
-    r_values: Optional[Iterable[float]] = None,
 ) -> DesignPoint:
     """Best design point for (chip, f, budget); the paper's r-sweep.
 
@@ -208,7 +201,7 @@ def optimize(
     # speedup hot path (speedup_heterogeneous et al.), but per-r
     # instrumentation there would dwarf the arithmetic it measures.
     with profile_block("core.optimize", chip=chip.label):
-        points = sweep_designs(chip, f, budget, r_max, r_values)
+        points = sweep_designs(chip, f, budget, r_max)
         if not points:
             raise InfeasibleDesignError(
                 f"no feasible design for {chip.label} under {budget} "

@@ -319,9 +319,7 @@ def config_groups(
 
 
 def _evaluate_group(
-    configs: Sequence[DSEConfig],
-    r_max: int,
-    r_values: Optional[Sequence[float]],
+    configs: Sequence[DSEConfig], r_max: int
 ) -> List[Optional[DSEPoint]]:
     """One batched r-sweep over configs sharing ``(chip, f)``."""
     first = configs[0]
@@ -335,8 +333,7 @@ def _evaluate_group(
         },
     ) as span:
         designs = optimize_batch(
-            first.chip, first.f, [c.eval_budget for c in configs],
-            r_max=r_max, r_values=r_values,
+            first.chip, first.f, [c.eval_budget for c in configs], r_max
         )
         points = [
             None if design is None else _point_from_design(config, design)
@@ -353,26 +350,20 @@ def _evaluate_group(
 
 
 def evaluate_config(
-    config: DSEConfig,
-    r_max: int = DEFAULT_R_MAX,
-    r_values: Optional[Sequence[float]] = None,
+    config: DSEConfig, r_max: int = DEFAULT_R_MAX
 ) -> Optional[DSEPoint]:
     """Full r-sweep for one config; ``None`` when infeasible."""
-    return _evaluate_group([config], r_max, r_values)[0]
+    return _evaluate_group([config], r_max)[0]
 
 
 def evaluate_configs(
-    configs: Sequence[DSEConfig],
-    r_max: int = DEFAULT_R_MAX,
-    r_values: Optional[Sequence[float]] = None,
+    configs: Sequence[DSEConfig], r_max: int = DEFAULT_R_MAX
 ) -> List[Optional[DSEPoint]]:
     """:func:`evaluate_config` for every config, one kernel call per
     ``(chip, f)`` group; results in ``configs`` order."""
     out: List[Optional[DSEPoint]] = [None] * len(configs)
     for _, _, indices in config_groups(configs):
-        points = _evaluate_group(
-            [configs[i] for i in indices], r_max, r_values
-        )
+        points = _evaluate_group([configs[i] for i in indices], r_max)
         for i, point in zip(indices, points):
             out[i] = point
     return out

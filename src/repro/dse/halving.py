@@ -32,13 +32,15 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core.optimizer import DEFAULT_R_MAX, sweep_designs
+from ..core.optimizer import DEFAULT_R_MAX
 from ..errors import ModelError
 from ..obs.stream import emit as emit_event
 from ..obs.trace import get_tracer
+from ..perf.batch import optimize_batch
 from .engine import (
     DSEConfig,
     DSEScenario,
+    config_groups,
     evaluate_configs,
     expand_configs,
     feasible_signatures,
@@ -174,23 +176,32 @@ def _covers_strictly(
     return True
 
 
-def _advance(cls: "_Class", rung_r: int) -> None:
-    """Evaluate the class representative up to serial size ``rung_r``."""
-    new_rs = [
-        float(r)
-        for r, _ in cls.signature
-        if cls.evaluated_r < r <= rung_r
+def _advance(classes: List["_Class"], rung_r: int) -> None:
+    """Score every live class up to serial size ``rung_r``.
+
+    A class advances when its signature has a serial size the last
+    rung did not reach.  The representatives of the advancing classes
+    are swept in one :func:`optimize_batch` per ``(chip, f)`` group;
+    the best speedup over ``r <= rung_r`` is the running maximum over
+    the rungs so far.
+    """
+    live = [c for c in classes if c.alive]
+    advancing = [
+        c
+        for c in live
+        if any(c.evaluated_r < r <= rung_r for r, _ in c.signature)
     ]
-    if new_rs:
-        rep = cls.rep
-        designs = sweep_designs(
-            rep.chip, rep.f, rep.eval_budget, r_values=new_rs
+    reps = [c.rep for c in advancing]
+    for chip, f, indices in config_groups(reps):
+        designs = optimize_batch(
+            chip, f, [reps[i].eval_budget for i in indices], rung_r
         )
-        cls.rung_evals += 1
-        for design in designs:
-            if cls.lofi is None or design.speedup > cls.lofi:
-                cls.lofi = design.speedup
-    cls.evaluated_r = max(cls.evaluated_r, rung_r)
+        for i, design in zip(indices, designs):
+            advancing[i].rung_evals += 1
+            if design is not None:
+                advancing[i].lofi = design.speedup
+    for cls in live:
+        cls.evaluated_r = max(cls.evaluated_r, rung_r)
 
 
 def _prune(classes: List["_Class"], r_max: int) -> int:
@@ -255,9 +266,7 @@ def successive_halving(
     # -- rung loop ---------------------------------------------------------
     pruned_total = 0
     for rung_r in rungs:
-        for cls in ordered:
-            if cls.alive:
-                _advance(cls, rung_r)
+        _advance(ordered, rung_r)
         pruned_total += _prune(ordered, r_max)
         # Streamed campaigns watch the search narrow rung by rung
         # (no-op outside a bound event stream).

@@ -269,64 +269,63 @@ def _grid_speedup(
     return out
 
 
-def _evaluate_grid(
+def _check_r_max(r_max: int) -> None:
+    if r_max < 1:
+        raise ModelError(f"r_max must be >= 1, got {r_max}")
+
+
+def _sweep(
     chip: ChipModel,
     f: float,
     budgets: Sequence[Budget],
-    r_vals: Sequence[float],
-    serial_ok: np.ndarray,
+    r_max: int,
     mu=None,
     phi=None,
 ):
-    """Bounds, feasibility and speedup over the (budget, r) grid.
+    """The r-sweep over the ``(budget, r = 1..r_max)`` grid.
 
-    ``serial_ok`` is the per-(budget, r) serial-bound mask the caller
-    derived (grid sweeps use ``r <= max_serial_r``; explicit r lists
-    replicate ``serial_feasible``).  ``mu``/``phi`` optionally override
-    the U-core per budget row.  Returns the bound arrays, the
-    effective ``n``, the full feasibility mask, and the speedup.
-
-    The caller must hold ``np.errstate(divide="ignore",
-    invalid="ignore")``: infeasible lanes legitimately produce inf/NaN
-    intermediates that the mask discards.
+    Every batch entry point is this grid followed by a reduction.
+    Returns ``(n_area, n_power, n_bandwidth, n, mask, speedup)``, each
+    of shape ``(len(budgets), r_max)``; column ``j`` is ``r = j + 1``.
+    ``mask`` marks the lanes the scalar ``evaluate_design`` accepts:
+    ``r <= max_serial_r``, then the fabric rules.  Speedups outside it
+    are meaningless (infeasible lanes produce inf/NaN intermediates,
+    whose warnings are suppressed here) and must be discarded.
+    ``mu``/``phi`` optionally override the U-core per budget row.
     """
+    _check_r_max(r_max)
     check_fraction(f)
+    r_vals = list(range(1, r_max + 1))
     r = np.array(r_vals, dtype=float)[None, :]
-    sqrt_r = np.sqrt(r)
-    mu, phi = _ucore_params(chip, len(budgets), mu, phi)
-    n_area, n_power, n_bandwidth = _grid_bounds(
-        chip, budgets, r_vals, r, sqrt_r, mu, phi
-    )
-    n = np.minimum(np.minimum(n_area, n_power), n_bandwidth)
-
-    mask = serial_ok.copy()
-    if chip.model_id != "dynamic":
-        # evaluate_design: `if n < r ... return None`
-        mask &= ~(n < r)
-    if f > 0.0 and chip.model_id not in ("symmetric", "dynamic"):
-        # evaluate_design: offload-style machines need fabric beyond r.
-        mask &= ~(n <= r)
-
-    ps = _perf_law_matrix(chip, r[0])
-    speedup = _grid_speedup(chip, f, n, r, ps, mask, mu)
-    return n_area, n_power, n_bandwidth, n, mask, speedup
-
-
-def _eval_quiet(chip, f, budgets, r_vals, serial_ok):
-    """:func:`_evaluate_grid` under the required errstate guard."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _evaluate_grid(chip, f, budgets, r_vals, serial_ok)
+        ceilings = np.array([chip.max_serial_r(b) for b in budgets])
+        mask = r <= ceilings[:, None]
+        mu, phi = _ucore_params(chip, len(budgets), mu, phi)
+        n_area, n_power, n_bandwidth = _grid_bounds(
+            chip, budgets, r_vals, r, np.sqrt(r), mu, phi
+        )
+        n = np.minimum(np.minimum(n_area, n_power), n_bandwidth)
+        if chip.model_id != "dynamic":
+            # evaluate_design: `if n < r ... return None`
+            mask &= ~(n < r)
+        if f > 0.0 and chip.model_id not in ("symmetric", "dynamic"):
+            # evaluate_design: offload-style machines need fabric
+            # beyond r.
+            mask &= ~(n <= r)
+        ps = _perf_law_matrix(chip, r[0])
+        speedup = _grid_speedup(chip, f, n, r, ps, mask, mu)
+    return n_area, n_power, n_bandwidth, n, mask, speedup
 
 
 def _make_point(
     chip: ChipModel,
     f: float,
-    r_val: float,
     arrays,
     i: int,
     j: int,
 ) -> DesignPoint:
-    """Materialise one grid lane as a scalar-identical DesignPoint."""
+    """Materialise grid lane ``(i, j)`` as a scalar-identical
+    DesignPoint (``r`` is the Python ``int`` ``j + 1``)."""
     n_area, n_power, n_bandwidth, n, _, speedup = arrays
     bounds = BoundSet(
         n_area=float(n_area[i, j]),
@@ -337,7 +336,7 @@ def _make_point(
         label=chip.label,
         model_id=chip.model_id,
         f=f,
-        r=r_val,
+        r=int(j) + 1,
         n=float(n[i, j]),
         speedup=float(speedup[i, j]),
         limiter=bounds.limiter,
@@ -350,7 +349,6 @@ def sweep_designs_batch(
     f: float,
     budget: Budget,
     r_max: int = DEFAULT_R_MAX,
-    r_values: Optional[Sequence[float]] = None,
 ) -> List[DesignPoint]:
     """Vectorized :func:`~repro.core.optimizer.sweep_designs`.
 
@@ -359,30 +357,13 @@ def sweep_designs_batch(
     one array evaluation.
     """
     with profile_block("perf.sweep_batch", chip=chip.label):
-        if r_values is None:
-            candidates: Sequence[float] = feasible_r_values(
-                chip, budget, r_max
-            )
-            if not candidates:
-                return []
-            serial_ok = np.ones((1, len(candidates)), dtype=bool)
-            arrays = _eval_quiet(chip, f, [budget], candidates, serial_ok)
-        else:
-            candidates = list(r_values)
-            if not candidates:
-                return []
-            ceiling = chip.max_serial_r(budget)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                r_arr = np.array(candidates, dtype=float)[None, :]
-                serial_ok = (r_arr >= 1) & (r_arr <= ceiling)
-                arrays = _evaluate_grid(
-                    chip, f, [budget], candidates, serial_ok
-                )
-        mask = arrays[4]
+        # Raises the scalar path's InfeasibleDesignError (naming the
+        # binding serial bound) when not even r = 1 fits.
+        feasible_r_values(chip, budget, r_max)
+        arrays = _sweep(chip, f, [budget], r_max)
         return [
-            _make_point(chip, f, candidates[j], arrays, 0, j)
-            for j in range(len(candidates))
-            if mask[0, j]
+            _make_point(chip, f, arrays, 0, j)
+            for j in np.flatnonzero(arrays[4][0])
         ]
 
 
@@ -391,7 +372,6 @@ def optimize_batch(
     f: float,
     budgets: Sequence[Budget],
     r_max: int = DEFAULT_R_MAX,
-    r_values: Optional[Sequence[float]] = None,
     *,
     mu: Optional[Sequence[float]] = None,
     phi: Optional[Sequence[float]] = None,
@@ -420,44 +400,14 @@ def optimize_batch(
             phase.set_attribute("chip", chip.label)
             phase.set_attribute("batch_size", len(budgets))
         t0 = perf_counter()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if r_values is None:
-                if r_max < 1:
-                    # Delegate the error to the scalar validator for an
-                    # identical message.
-                    feasible_r_values(chip, budgets[0], r_max)
-                candidates: Sequence[float] = list(range(1, r_max + 1))
-                ceilings = np.array(
-                    [chip.max_serial_r(b) for b in budgets]
-                )
-                r_arr = np.array(candidates, dtype=float)[None, :]
-                serial_ok = r_arr <= ceilings[:, None]
-            else:
-                candidates = list(r_values)
-                if not candidates:
-                    return [None] * len(budgets)
-                ceilings = np.array(
-                    [chip.max_serial_r(b) for b in budgets]
-                )
-                r_arr = np.array(candidates, dtype=float)[None, :]
-                serial_ok = (r_arr >= 1) & (r_arr <= ceilings[:, None])
-            arrays = _evaluate_grid(
-                chip, f, budgets, candidates, serial_ok, mu, phi
-            )
-            mask, speedup = arrays[4], arrays[5]
-
-            score = np.where(mask, speedup, -np.inf)
-            best_j = np.argmax(score, axis=1)
+        arrays = _sweep(chip, f, budgets, r_max, mu, phi)
+        mask = arrays[4]
+        best_j = np.argmax(np.where(mask, arrays[5], -np.inf), axis=1)
         grid_s = perf_counter() - t0
-        results: List[Optional[DesignPoint]] = []
-        for i in range(len(budgets)):
-            j = int(best_j[i])
-            if not mask[i, j]:
-                results.append(None)
-                continue
-            results.append(
-                _make_point(chip, f, candidates[j], arrays, i, j)
-            )
+        results = [
+            _make_point(chip, f, arrays, i, j) if mask[i, j] else None
+            for i, j in enumerate(best_j.tolist())
+        ]
         if phase.traced:
             phase.set_attribute("grid_ms", round(grid_s * 1e3, 3))
             phase.set_attribute(
@@ -502,19 +452,13 @@ def optimize_prefix_batch(
             phase.set_attribute("chip", chip.label)
             phase.set_attribute("batch_size", len(budgets))
             phase.set_attribute("r_maxes", len(r_maxes))
-        if r_maxes[0] < 1:
-            # Delegate the error to the scalar validator for an
-            # identical message (mirrors optimize_batch).
-            feasible_r_values(chip, budgets[0], r_maxes[0])
-        candidates: Sequence[float] = list(range(1, r_maxes[-1] + 1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ceilings = np.array([chip.max_serial_r(b) for b in budgets])
-            r_arr = np.array(candidates, dtype=float)[None, :]
-            serial_ok = r_arr <= ceilings[:, None]
-            n_area, n_power, n_bandwidth, n, mask, speedup = (
-                _evaluate_grid(chip, f, budgets, candidates, serial_ok)
-            )
-            score = np.where(mask, speedup, -np.inf)
+        # _sweep checks only the largest r_max; every one must be >= 1.
+        _check_r_max(r_maxes[0])
+        n_area, n_power, n_bandwidth, n, mask, speedup = _sweep(
+            chip, f, budgets, r_maxes[-1]
+        )
+        score = np.where(mask, speedup, -np.inf)
+        r_arr = np.arange(1.0, r_maxes[-1] + 1)[None, :]
         # prefix[k, j]: column j lies inside r_maxes[k]'s prefix.
         prefix = r_arr <= np.array(r_maxes, dtype=float)[:, None]
         best_j = np.argmax(
@@ -551,8 +495,7 @@ def effective_n_batch(
     r-sweep resolves, as one array pass.  The serial bounds are not
     applied; callers mask the columns with ``chip.max_serial_r``.
     """
-    if r_max < 1:
-        raise ModelError(f"r_max must be >= 1, got {r_max}")
+    _check_r_max(r_max)
     budgets = list(budgets)
     with profile_block("perf.effective_n_batch"):
         r_vals = list(range(1, r_max + 1))

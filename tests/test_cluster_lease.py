@@ -1,5 +1,6 @@
 """Lease-file protocol for coordination-free campaign joins."""
 
+import errno
 import json
 import os
 
@@ -77,6 +78,21 @@ class TestRenewRelease:
         manager.release_all()
         for task_hash in hashes:
             assert not manager.lease_path(task_hash).exists()
+
+    def test_failed_renew_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        manager, _, _ = _manager(tmp_path)
+        manager.claim(HASH)
+
+        def full_disk(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "fsync", full_disk)
+        with pytest.raises(OSError) as excinfo:
+            manager.renew(HASH)
+        assert excinfo.value.errno == errno.ENOSPC
+        assert [p.name for p in manager.directory.iterdir()] == [
+            f"{HASH}.lease"
+        ]
 
 
 class TestStaleness:

@@ -123,13 +123,6 @@ class TestSweepAndOptimize:
         best = optimize(sym_chip, 1.0, budget, r_max=16)
         assert best.r == 1
 
-    def test_r_values_override(self, sym_chip, basic_budget):
-        points = sweep_designs(
-            sym_chip, 0.9, basic_budget, r_values=[2.5]
-        )
-        assert len(points) == 1
-        assert points[0].r == 2.5
-
     def test_infeasible_raises(self, gpu_like):
         chip = HeterogeneousChip(gpu_like)
         budget = Budget(area=1.0, power=1e9)  # only room for the core

@@ -8,6 +8,8 @@ configs.
 
 import pytest
 
+import repro.core.optimizer
+import repro.dse.halving as halving
 from repro.dse.dsl import (
     ChipSpec,
     DSEScenario,
@@ -17,7 +19,7 @@ from repro.dse.dsl import (
 )
 from repro.dse.engine import exhaustive_sweep, expand_configs
 from repro.dse.front import pareto_front
-from repro.dse.halving import successive_halving
+from repro.dse.halving import DEFAULT_RUNGS, successive_halving
 from repro.errors import ModelError
 
 #: >= 1000 configs: 5 chips x 4 f x 5 nodes x 5 area x 2 power.
@@ -162,6 +164,43 @@ class TestLedger:
             result.pruned_classes, result.full_evaluations,
             result.rung_evaluations,
         ) == LEDGERS[scenario.name]
+
+
+class TestRungsOnKernel:
+    def test_rung_advances_are_one_kernel_call_per_group(
+        self, monkeypatch
+    ):
+        """No scalar evaluation anywhere in the search, and each rung
+        sweeps its advancing classes in one call per (chip, f)."""
+
+        def scalar_forbidden(*args, **kwargs):
+            raise AssertionError("halving reached the scalar optimizer")
+
+        monkeypatch.setattr(
+            repro.core.optimizer, "evaluate_design", scalar_forbidden
+        )
+        calls = []
+        kernel = halving.optimize_batch
+
+        def counted(chip, f, budgets, r_max):
+            calls.append((r_max, id(chip), f, len(budgets)))
+            return kernel(chip, f, budgets, r_max)
+
+        monkeypatch.setattr(halving, "optimize_batch", counted)
+        scenario = builtin_scenario("baseline")
+        points, _ = exhaustive_sweep(
+            expand_configs(scenario, AREA_GRID, POWER_GRID)
+        )
+        result = successive_halving(
+            scenario,
+            area_scale_grid=AREA_GRID,
+            power_scale_grid=POWER_GRID,
+        )
+        assert list(result.front) == pareto_front(points)
+        assert {r_max for r_max, *_ in calls} == set(DEFAULT_RUNGS)
+        groups = [call[:3] for call in calls]
+        assert len(groups) == len(set(groups))
+        assert sum(rows for *_, rows in calls) == result.rung_evaluations
 
 
 class TestValidation:

@@ -128,15 +128,6 @@ class TestOptimizeBatchMatchesScalar:
     def test_empty_budget_list(self):
         assert optimize_batch(SymmetricCMP(), 0.5, []) == []
 
-    def test_explicit_r_values(self, basic_budget):
-        chip = AsymmetricOffloadCMP()
-        r_values = [1.0, 2.0, 4.0, 7.5, 16.0]
-        batch = optimize_batch(
-            chip, 0.9, [basic_budget], r_values=r_values
-        )
-        scalar = optimize(chip, 0.9, basic_budget, r_values=r_values)
-        assert batch == [scalar]
-
 
 class TestSweepMatchesScalar:
     @pytest.mark.parametrize("f", (0.0, 0.5, 0.999, 1.0))
