@@ -5,40 +5,41 @@ computes each request's shard key (:func:`~repro.cluster.hashring
 .shard_key`), forwards the request to the rendezvous owner over a
 pooled keep-alive upstream connection, and relays the response.  All
 model work happens in workers; the router never parses a model
-payload.
+payload.  ``/healthz`` reflects fleet liveness: 200 ``ok``, 200
+``degraded`` while a respawn is pending, 503 when no worker serves.
 
-Cross-worker concerns it *does* own:
+**One fan-out.**  Every question for the whole fleet goes through
+:meth:`Router._scatter`: one request to every worker concurrently,
+the survivors' answers back, and each caller keeps only its merge
+rule -- ``/metrics`` (JSON ``{"cluster", "router", "workers"}`` or a
+Prometheus merge with ``worker`` labels), ``/v1/traces`` (spans tagged
+by ``worker``, newest ``limit`` of one time-ordered view, eviction
+summed), ``/v1/profile`` (one folded profile, stacks led by a
+``worker:wN`` frame), ``/v1/jobs/{id}`` (worker-local ids: first
+non-404 wins) and the ``/v1/events`` owner probe (first 200 wins; the
+owner's response, chunked SSE tail included, is spliced through byte
+for byte).  The router's own ``cluster`` stream of worker respawns is
+served locally.
 
-* **`/metrics`** -- scatter to every live worker, answer one merged
-  view: JSON mode returns ``{"cluster", "router", "workers": {...}}``;
-  Prometheus mode merges all expositions with ``worker`` labels via
-  :func:`~repro.cluster.prommerge.merge_expositions` (router series
-  carry ``worker="router"``).
-* **`/healthz`** -- reflects fleet liveness: 200 ``ok`` with all
-  workers up, 200 ``degraded`` with some down (respawn in progress),
-  503 when none are serving.
-* **`/v1/jobs/{id}`** -- job ids are worker-local, so lookups
-  scatter-gather: the first non-404 answer wins.
-* **`/v1/traces`** -- a clustered trace crosses processes; the router
-  gathers every worker's span ring buffer, tags each span with its
-  ``worker`` name (its own spans as ``worker="router"``), and answers
-  one time-ordered view with fleet-wide eviction accounting.
-* **`/v1/profile`** -- concurrent sampled-profile captures on every
-  worker, merged into one folded view whose stacks carry a leading
-  ``worker:wN`` frame (the flamegraph keeps per-worker attribution).
-* **`/v1/events`** -- job event streams live on the worker that owns
-  the job; the router finds the owner and splices its response --
-  chunked SSE tail included -- through byte for byte.  The router's
-  own ``cluster`` stream (worker respawns) is served locally.
-* **Traces** -- the router opens the root ``router.request`` span and
-  forwards its trace id as ``X-Request-Id`` upstream; the worker's
-  identity rule adopts a 32-hex request id as its trace id, so one
-  request is one trace across both processes with zero new protocol.
-* **Failure semantics** -- a dead upstream mid-request is retried on
-  the next-ranked worker for idempotent GETs; an in-flight POST gets
-  an honest one-line 503 (the model cannot know whether the worker
-  executed it).  Every upstream failure nudges the supervisor to
-  poll-and-respawn.
+**One request contract.**  Query arguments are parsed by the worker's
+own helpers (:mod:`repro.service.schemas`, :mod:`repro.service.events`)
+and every :class:`~repro.errors.ServiceError` is answered the way the
+worker answers it, so a bad request gets the same status and body
+bytes on either path.
+
+**Traces.**  The router opens the root ``router.request`` span and
+forwards its trace id as ``X-Request-Id``; the worker adopts a 32-hex
+request id as its trace id, so one request is one trace across both
+processes.
+
+**Failure semantics.**  Every upstream exchange has a response
+deadline: the service's ``request_timeout_s``, plus the capture window
+for ``/v1/profile``.  A worker that dies, or stalls past it, is an
+:class:`UpstreamError`: an idempotent GET is retried on the
+next-ranked worker, an in-flight POST gets an honest one-line 503 (the
+worker may or may not have executed it), a fan-out answers from the
+survivors, and the supervisor is nudged to poll-and-respawn.  Only the
+spliced event tail has no read deadline: it is unbounded by design.
 """
 
 from __future__ import annotations
@@ -46,24 +47,29 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 from urllib.parse import parse_qs, quote
 
+from ..errors import BadRequestError, ServiceError
 from ..obs.logging import get_logger, log_event
 from ..obs.metrics import MetricsRegistry, render_merged
 from ..obs.prof import FoldedProfile
 from ..obs.stream import EventBus
 from ..obs.trace import get_tracer
-from ..service.app import ModelService
-from ..service.events import EventStreamResponse, events_payload
+from ..service.app import ModelService, _error_payload
+from ..service.events import (
+    EventStreamResponse,
+    events_response,
+    parse_events_query,
+)
 from ..service.http import (
-    PROM_CONTENT_TYPE,
     TextPayload,
     _encode_response,
     _ProtocolError,
     _read_request,
     write_stream_response,
 )
+from ..service.schemas import parse_limit, parse_profile_query
 from .hashring import rendezvous_rank, shard_key
 from .prommerge import merge_expositions
 from .supervisor import ClusterConfig, WorkerSupervisor
@@ -78,14 +84,22 @@ POLL_INTERVAL_S = 0.25
 #: Upstream connect timeout; workers are local processes, so short.
 CONNECT_TIMEOUT_S = 5.0
 
+#: Endpoints the router answers itself; like the worker, GET only.
+_ROUTER_GETS = frozenset(
+    {"/healthz", "/metrics", "/v1/traces", "/v1/profile", "/v1/events"}
+)
+
+#: One upstream answer: ``(status, headers, body)``.
+Response = Tuple[int, Dict[str, str], bytes]
+
+Connection = Tuple[asyncio.StreamReader, asyncio.StreamWriter]
+
 
 class UpstreamError(Exception):
-    """A worker could not be reached or died mid-response."""
+    """A worker could not be reached, died or stalled mid-response."""
 
 
-async def _read_upstream_response(
-    reader: asyncio.StreamReader,
-) -> Tuple[int, Dict[str, str], bytes]:
+async def _read_upstream_response(reader: asyncio.StreamReader) -> Response:
     """One HTTP/1.1 response off an upstream stream."""
     status_line = await reader.readline()
     if not status_line:
@@ -110,6 +124,14 @@ async def _read_upstream_response(
     return status, headers, body
 
 
+async def _exchange(conn: Connection, request: bytes) -> Response:
+    """Write one request on ``conn`` and read its response."""
+    reader, writer = conn
+    writer.write(request)
+    await writer.drain()
+    return await _read_upstream_response(reader)
+
+
 def _encode_upstream_request(
     method: str, path: str, headers: Dict[str, str], body: bytes
 ) -> bytes:
@@ -130,6 +152,20 @@ def _decode_payload(headers: Dict[str, str], body: bytes):
         except ValueError:
             return body.decode("utf-8", "replace")
     return body.decode("utf-8", "replace")
+
+
+def _ok_payloads(answers: Dict[str, Response]) -> Dict[str, Dict[str, Any]]:
+    """The JSON object of every 200 answer, by worker."""
+    payloads = {}
+    for worker, (status, headers, body) in answers.items():
+        payload = _decode_payload(headers, body) if status == 200 else None
+        if isinstance(payload, dict):
+            payloads[worker] = payload
+    return payloads
+
+
+def _query(path: str) -> Dict[str, List[str]]:
+    return parse_qs(path.partition("?")[2])
 
 
 class Router:
@@ -157,10 +193,7 @@ class Router:
         )
         # Idle upstream keep-alive connections, keyed by (worker, port)
         # so connections to a pre-respawn incarnation die with its port.
-        self._pools: Dict[
-            Tuple[str, int],
-            List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]],
-        ] = {}
+        self._pools: Dict[Tuple[str, int], List[Connection]] = {}
         self._started_monotonic = time.monotonic()
         #: The actually-bound listening port, set once serving (tests
         #: and the embedded bench pass ``port=0``).
@@ -174,9 +207,7 @@ class Router:
     # ------------------------------------------------------------------
     # upstream plumbing
 
-    def _checkout(
-        self, worker: str, port: int
-    ) -> Optional[Tuple[asyncio.StreamReader, asyncio.StreamWriter]]:
+    def _checkout(self, worker: str, port: int) -> Optional[Connection]:
         pool = self._pools.get((worker, port))
         while pool:
             reader, writer = pool.pop()
@@ -184,17 +215,10 @@ class Router:
                 return reader, writer
         return None
 
-    def _checkin(
-        self,
-        worker: str,
-        port: int,
-        conn: Tuple[asyncio.StreamReader, asyncio.StreamWriter],
-    ) -> None:
+    def _checkin(self, worker: str, port: int, conn: Connection) -> None:
         self._pools.setdefault((worker, port), []).append(conn)
 
-    async def _connect(
-        self, port: int
-    ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    async def _connect(self, port: int) -> Connection:
         try:
             return await asyncio.wait_for(
                 asyncio.open_connection(self.config.host, port),
@@ -203,6 +227,14 @@ class Router:
         except (OSError, asyncio.TimeoutError) as exc:
             raise UpstreamError(f"connect to port {port} failed: {exc}")
 
+    def _response_deadline(self, path: str) -> float:
+        """Seconds a worker gets to answer ``path``: the service's
+        request deadline, plus the capture window of a profile."""
+        deadline = self.config.service.request_timeout_s
+        if path.startswith("/v1/profile?"):
+            deadline += parse_profile_query(_query(path))[0]
+        return deadline
+
     async def _upstream_request(
         self,
         worker: str,
@@ -210,47 +242,83 @@ class Router:
         path: str,
         headers: Dict[str, str],
         body: bytes,
-    ) -> Tuple[int, Dict[str, str], bytes]:
+    ) -> Response:
         """One request to one worker, reusing a pooled connection.
 
-        A pooled connection that fails before any response byte is
-        retried once on a fresh connection (it merely went stale while
-        idle); failure on the fresh connection means the worker itself
-        is gone and raises :class:`UpstreamError`.
+        A pooled connection that fails is retried once on a fresh
+        connection (it merely went stale while idle); failure on the
+        fresh connection means the worker itself is gone.  A worker
+        that does not answer within the response deadline is stuck:
+        the connection is closed, never pooled again (a late reply
+        must not answer the next request), and not retried.  Every
+        failure raises :class:`UpstreamError`.
         """
         port = self.supervisor.ports().get(worker)
         if port is None:
             raise UpstreamError(f"worker {worker} has no port")
-        request_bytes = _encode_upstream_request(method, path, headers, body)
-        pooled = self._checkout(worker, port)
-        if pooled is not None:
-            reader, writer = pooled
+        request = _encode_upstream_request(method, path, headers, body)
+        deadline = self._response_deadline(path)
+        conn = self._checkout(worker, port)
+        stale_retry = conn is not None
+        while True:
+            if conn is None:
+                conn = await self._connect(port)
             try:
-                writer.write(request_bytes)
-                await writer.drain()
-                response = await _read_upstream_response(reader)
-                self._checkin(worker, port, (reader, writer))
-                return response
+                response = await asyncio.wait_for(
+                    _exchange(conn, request), deadline
+                )
+            except asyncio.TimeoutError:
+                conn[1].close()
+                raise UpstreamError(
+                    f"worker {worker} did not answer within {deadline:g}s"
+                )
             except (
                 UpstreamError,
                 ConnectionError,
                 asyncio.IncompleteReadError,
-            ):
-                writer.close()
-                # fall through to a fresh connection
-        reader, writer = await self._connect(port)
-        try:
-            writer.write(request_bytes)
-            await writer.drain()
-            response = await _read_upstream_response(reader)
-        except (ConnectionError, asyncio.IncompleteReadError) as exc:
-            writer.close()
-            raise UpstreamError(f"worker {worker} died mid-request: {exc}")
-        except UpstreamError:
-            writer.close()
-            raise
-        self._checkin(worker, port, (reader, writer))
-        return response
+            ) as exc:
+                conn[1].close()
+                if not stale_retry:
+                    raise UpstreamError(
+                        f"worker {worker} died mid-request: {exc}"
+                    )
+                conn, stale_retry = None, False
+                continue
+            self._checkin(worker, port, conn)
+            return response
+
+    async def _scatter(
+        self,
+        workers: List[str],
+        method: str,
+        path: str,
+        headers: Dict[str, str],
+        body: bytes = b"",
+    ) -> Dict[str, Response]:
+        """Send one request to every listed worker concurrently.
+
+        Returns ``{worker: (status, headers, body)}`` for the workers
+        that answered, in sorted worker order.  A worker that failed
+        is left out, and any failure nudges the supervisor to poll.
+        """
+
+        async def ask(worker: str) -> Optional[Response]:
+            try:
+                return await self._upstream_request(
+                    worker, method, path, headers, body
+                )
+            except UpstreamError:
+                return None
+
+        workers = sorted(workers)
+        answers = await asyncio.gather(*map(ask, workers))
+        if None in answers:
+            self.supervisor.poll()
+        return {
+            worker: answer
+            for worker, answer in zip(workers, answers)
+            if answer is not None
+        }
 
     def _alive_workers(self) -> List[str]:
         return sorted(
@@ -297,12 +365,13 @@ class Router:
                 status, payload, worker = await self._route(
                     method, path, bare_path, upstream_headers, body
                 )
-            except UpstreamError as exc:
+            except ServiceError as exc:
+                # The worker's own contract, so the bytes match it.
                 status, payload, worker = (
-                    503,
-                    {"error": "UpstreamError", "message": str(exc)},
-                    "none",
+                    exc.http_status, _error_payload(exc), "router",
                 )
+            except UpstreamError as exc:
+                status, payload, worker = 503, _error_payload(exc), "none"
                 self.supervisor.poll()
             span.set_attribute("status", status)
             span.set_attribute("worker", worker)
@@ -335,20 +404,23 @@ class Router:
         body: bytes,
     ) -> Tuple[int, object, str]:
         """(status, payload, worker_label) for one routed request."""
+        if bare_path in _ROUTER_GETS:
+            ModelService._require_method(method, "GET", bare_path)
         if bare_path == "/healthz":
             return self._healthz() + ("router",)
         if bare_path == "/metrics":
             return await self._metrics(path, headers) + ("router",)
         if bare_path == "/v1/traces":
-            return await self._scatter_traces(path, headers) + ("router",)
+            return await self._traces(path, headers) + ("router",)
         if bare_path == "/v1/profile":
-            return await self._scatter_profile(path, headers) + ("router",)
+            return await self._profile(path, headers) + ("router",)
         if bare_path == "/v1/events":
-            # Only router-local streams reach this far; worker-owned
-            # streams are spliced raw in ``_handle_connection``.
-            return self._local_events(method, path) + ("router",)
+            # Worker-owned streams are spliced raw in
+            # ``_handle_connection``; router-local streams, bad queries
+            # and streams no worker owns are answered here.
+            return 200, events_response(self.events, _query(path)), "router"
         if bare_path.startswith("/v1/jobs/"):
-            return await self._scatter_job(method, path, headers, body)
+            return await self._job(method, path, headers, body)
         workers = self._alive_workers()
         if not workers:
             raise UpstreamError("no live workers")
@@ -400,27 +472,19 @@ class Router:
             "cluster": liveness,
         }
 
+    # ------------------------------------------------------------------
+    # fan-outs: one scatter each, then the endpoint's merge rule
+
     async def _metrics(
         self, path: str, headers: Dict[str, str]
     ) -> Tuple[int, object]:
-        workers = self._alive_workers()
-        prom = "format=prom" in path
-        responses: Dict[str, Tuple[int, Dict[str, str], bytes]] = {}
-        results = await asyncio.gather(
-            *(
-                self._upstream_request(worker, "GET", path, headers, b"")
-                for worker in workers
-            ),
-            return_exceptions=True,
+        answers = await self._scatter(
+            self._alive_workers(), "GET", path, headers
         )
-        for worker, result in zip(workers, results):
-            if isinstance(result, BaseException):
-                continue  # mid-scrape death: report the survivors
-            responses[worker] = result
-        if prom:
+        if "format=prom" in path:
             expositions = {
                 worker: body.decode("utf-8", "replace")
-                for worker, (status, _headers, body) in responses.items()
+                for worker, (status, _headers, body) in answers.items()
                 if status == 200
             }
             # The supervisor's fleet gauges (worker counts, respawns)
@@ -430,7 +494,7 @@ class Router:
                 self.registry, self.supervisor.registry
             )
             return 200, merge_expositions(expositions)
-        merged: Dict[str, object] = {
+        return 200, {
             "cluster": {
                 "topology": self.config.topology(),
                 "liveness": self.supervisor.liveness(),
@@ -439,120 +503,80 @@ class Router:
                 ),
             },
             "router": self.registry.snapshot(),
-            "workers": {
-                worker: _decode_payload(response_headers, body)
-                for worker, (status, response_headers, body)
-                in sorted(responses.items())
-                if status == 200
-            },
+            "workers": _ok_payloads(answers),
         }
-        return 200, merged
 
-    async def _scatter_job(
+    async def _job(
         self,
         method: str,
         path: str,
         headers: Dict[str, str],
         body: bytes,
     ) -> Tuple[int, object, str]:
-        """``/v1/jobs/{id}``: ids are worker-local, ask everyone."""
-        workers = self._alive_workers()
-        if not workers:
-            raise UpstreamError("no live workers")
-        fallback: Optional[Tuple[int, object, str]] = None
-        for worker in workers:
-            try:
-                status, response_headers, response_body = (
-                    await self._upstream_request(
-                        worker, method, path, headers, body
-                    )
-                )
-            except UpstreamError:
-                self.supervisor.poll()
-                continue
-            payload = _decode_payload(response_headers, response_body)
-            if status != 404:
-                return status, payload, worker
-            fallback = (status, payload, worker)
-        if fallback is None:
+        """``/v1/jobs/{id}``: ids are worker-local, so ask everyone;
+        the first non-404 answer in worker order wins."""
+        answers = await self._scatter(
+            self._alive_workers(), method, path, headers, body
+        )
+        if not answers:
             raise UpstreamError("no worker answered the job lookup")
-        return fallback
+        worker = next(
+            (w for w, answer in answers.items() if answer[0] != 404),
+            next(iter(answers)),
+        )
+        status, response_headers, response_body = answers[worker]
+        return status, _decode_payload(
+            response_headers, response_body
+        ), worker
 
-    # ------------------------------------------------------------------
-    # fleet-wide telemetry
-
-    async def _scatter_traces(
+    async def _traces(
         self, path: str, headers: Dict[str, str]
     ) -> Tuple[int, object]:
         """``GET /v1/traces``: one merged view of every ring buffer.
 
-        A clustered request's trace crosses processes -- the router's
-        ``router.request`` span and the owning worker's job and task
-        spans share one trace id but live in different buffers.  The
-        router forwards the query (trace_id / limit filters included)
-        to every live worker, tags each returned span with its
-        ``worker`` name, folds in its own buffer as ``worker="router"``,
-        and answers in global start-time order.  Eviction is summed
+        A clustered request's trace crosses processes: the router's
+        ``router.request`` span and the owning worker's spans share
+        one trace id but live in different buffers.  Each span is
+        tagged with its ``worker`` (the router's own as ``router``),
+        the merge is in global start-time order, and eviction is summed
         fleet-wide so a partial merged trace still says so.
         """
-        query = parse_qs(path.partition("?")[2])
-        trace_id = query.get("trace_id", [None])[0]
-        limit_text = query.get("limit", [None])[0]
-        limit: Optional[int] = None
-        if limit_text is not None:
-            try:
-                limit = max(0, int(limit_text))
-            except ValueError:
-                return 400, {
-                    "error": "BadRequest",
-                    "message": (
-                        f"limit must be an integer, got {limit_text!r}"
-                    ),
-                }
-        workers = self._alive_workers()
-        results = await asyncio.gather(
-            *(
-                self._upstream_request(worker, "GET", path, headers, b"")
-                for worker in workers
+        query = _query(path)
+        limit = parse_limit(query)
+        answers = await self._scatter(
+            self._alive_workers(), "GET", path, headers
+        )
+        sources = {
+            worker: (payload.get("spans", []), payload.get("buffer", {}))
+            for worker, payload in _ok_payloads(answers).items()
+        }
+        router_stats = self.tracer.stats()
+        sources["router"] = (
+            self.tracer.spans(
+                trace_id=query.get("trace_id", [None])[0], limit=limit
             ),
-            return_exceptions=True,
+            router_stats,
         )
         spans: List[Dict[str, object]] = []
-        buffers: Dict[str, object] = {}
         dropped = 0
-        for worker, result in zip(workers, results):
-            if isinstance(result, BaseException):
-                continue  # mid-scrape death: merge the survivors
-            status, response_headers, response_body = result
-            if status != 200:
-                continue
-            payload = _decode_payload(response_headers, response_body)
-            if not isinstance(payload, dict):
-                continue
-            for span in payload.get("spans", []):
-                tagged = dict(span)
-                tagged["worker"] = worker
-                spans.append(tagged)
-            buffer = payload.get("buffer", {})
-            buffers[worker] = buffer
+        for worker, (worker_spans, buffer) in sources.items():
+            spans.extend(dict(span, worker=worker) for span in worker_spans)
             if isinstance(buffer, dict):
                 dropped += int(buffer.get("dropped", 0) or 0)
-        for span in self.tracer.spans(trace_id=trace_id, limit=limit):
-            tagged = dict(span)
-            tagged["worker"] = "router"
-            spans.append(tagged)
-        router_stats = self.tracer.stats()
-        dropped += int(router_stats.get("dropped", 0) or 0)
         spans.sort(key=lambda s: s.get("start_unix", 0.0))
         if limit is not None:
-            # Per-source limits already applied upstream; keep the
-            # *newest* ``limit`` of the merged view, matching the
-            # single-node endpoint's recency bias.
+            # Per-source limits already applied; keep the *newest*
+            # ``limit`` of the merged view, matching the single-node
+            # endpoint's recency bias.
             spans = spans[len(spans) - limit:] if limit else []
         payload: Dict[str, object] = {
             "spans": spans,
             "count": len(spans),
-            "workers": buffers,
+            "workers": {
+                worker: buffer
+                for worker, (_spans, buffer) in sources.items()
+                if worker != "router"
+            },
             "router": router_stats,
         }
         if dropped:
@@ -567,77 +591,36 @@ class Router:
             }
         return 200, payload
 
-    async def _scatter_profile(
+    async def _profile(
         self, path: str, headers: Dict[str, str]
     ) -> Tuple[int, object]:
         """``GET /v1/profile``: every worker sampled, one merged view.
 
         The capture windows run concurrently (total wall time is one
-        ``seconds``, not workers x seconds).  Each worker's folded
-        profile is tagged ``worker="wN"`` and folded into a merged
-        profile whose stacks gain a leading ``worker:wN`` frame -- the
-        per-worker attribution survives inside the flamegraph itself,
-        mirroring the ``/v1/traces`` merge.  The router process does
-        not sample; it only aggregates.
+        ``seconds``, not workers x seconds).  Each worker's profile is
+        tagged ``worker="wN"`` and folded into a merged profile whose
+        stacks gain a leading ``worker:wN`` frame, so the per-worker
+        attribution survives inside the flamegraph itself.  The router
+        process does not sample; it only aggregates.
         """
-        query = parse_qs(path.partition("?")[2])
-        seconds_text = query.get("seconds", ["1"])[0]
-        try:
-            seconds = float(seconds_text)
-        except ValueError:
-            return 400, {
-                "error": "BadRequest",
-                "message": (
-                    f"seconds must be a number, got {seconds_text!r}"
-                ),
-            }
-        if not 0.0 <= seconds <= 60.0:
-            return 400, {
-                "error": "BadRequest",
-                "message": f"seconds must be within [0, 60], got {seconds:g}",
-            }
-        fmt = query.get("format", ["json"])[0]
-        if fmt not in ("json", "folded"):
-            return 400, {
-                "error": "BadRequest",
-                "message": f"format must be 'json' or 'folded', got {fmt!r}",
-            }
-        workers = self._alive_workers()
-        if not workers:
-            raise UpstreamError("no live workers")
-        upstream_path = f"/v1/profile?seconds={seconds:g}&format=json"
-        results = await asyncio.gather(
-            *(
-                self._upstream_request(
-                    worker, "GET", upstream_path, headers, b""
-                )
-                for worker in workers
-            ),
-            return_exceptions=True,
+        seconds, fmt = parse_profile_query(_query(path))
+        answers = await self._scatter(
+            self._alive_workers(),
+            "GET",
+            f"/v1/profile?seconds={seconds:g}&format=json",
+            headers,
         )
+        per_worker = _ok_payloads(answers)
+        if not per_worker:
+            raise UpstreamError("no worker answered the profile capture")
         merged = FoldedProfile()
-        per_worker: Dict[str, object] = {}
-        for worker, result in zip(workers, results):
-            if isinstance(result, BaseException):
-                continue  # mid-capture death: merge the survivors
-            status, response_headers, response_body = result
-            if status != 200:
-                continue
-            payload = _decode_payload(response_headers, response_body)
-            if not isinstance(payload, dict):
-                continue
+        for worker, payload in per_worker.items():
             payload["worker"] = worker
-            per_worker[worker] = payload
             try:
                 profile = FoldedProfile.from_payload(payload)
             except (TypeError, ValueError):
                 continue
             merged.merge(profile, prefix=f"worker:{worker}")
-        if not per_worker:
-            return 503, {
-                "error": "UpstreamError",
-                "message": "no worker answered the profile capture",
-            }
         if fmt == "folded":
             return 200, TextPayload(merged.to_text())
         doc = merged.payload()
@@ -648,127 +631,46 @@ class Router:
             "merged": doc,
         }
 
-    def _local_events(
-        self, method: str, path: str
-    ) -> Tuple[int, object]:
-        """``GET /v1/events`` against the router's own bus.
+    async def _stream_owner(self, path: str) -> Optional[str]:
+        """The worker owning a ``GET /v1/events`` stream, or ``None``
+        when the router answers the request itself.
 
-        Mirrors the worker endpoint's contract (job_id/stream, cursor,
-        follow, limit) for streams the router itself publishes --
-        today the always-open ``cluster`` stream of worker respawns.
+        A bad query or a router-local stream stays here; otherwise a
+        zero-limit batch read probes every worker, and the first to
+        answer 200 holds the stream.
         """
-        if method != "GET":
-            return 405, {
-                "error": "MethodNotAllowed",
-                "message": "use GET for /v1/events",
-            }
-        query = parse_qs(path.partition("?")[2])
-        stream = query.get("job_id", [None])[0]
-        if stream is None:
-            stream = query.get("stream", [None])[0]
-        if not stream:
-            return 400, {
-                "error": "BadRequest",
-                "message": (
-                    "pass job_id=<job> (or stream=<name>) to select "
-                    "an event stream"
-                ),
-            }
-        cursor_text = query.get("cursor", ["0"])[0]
         try:
-            cursor = int(cursor_text)
-        except ValueError:
-            return 400, {
-                "error": "BadRequest",
-                "message": (
-                    f"cursor must be an integer, got {cursor_text!r}"
-                ),
-            }
-        if cursor < 0:
-            return 400, {
-                "error": "BadRequest",
-                "message": f"cursor must be >= 0, got {cursor}",
-            }
-        if not self.events.known(stream):
-            return 404, {
-                "error": "NotFound",
-                "message": f"no event stream {stream!r} on the router",
-            }
-        follow = query.get("follow", ["0"])[0].lower() in (
-            "1", "true", "yes", "sse",
+            stream, _cursor = parse_events_query(_query(path))
+        except BadRequestError:
+            return None
+        if self.events.known(stream):
+            return None
+        probe = (
+            f"/v1/events?stream={quote(stream, safe='')}&cursor=0&limit=0"
         )
-        if follow:
-            return 200, EventStreamResponse(
-                self.events, stream, cursor=cursor
-            )
-        limit_text = query.get("limit", [None])[0]
-        limit: Optional[int] = None
-        if limit_text is not None:
-            try:
-                limit = max(0, int(limit_text))
-            except ValueError:
-                return 400, {
-                    "error": "BadRequest",
-                    "message": (
-                        f"limit must be an integer, got {limit_text!r}"
-                    ),
-                }
-        return 200, events_payload(
-            self.events, stream, cursor=cursor, limit=limit
+        answers = await self._scatter(
+            self._alive_workers(),
+            "GET",
+            probe,
+            {"Content-Type": "application/json"},
         )
-
-    async def _find_stream_owner(self, stream: str) -> Optional[str]:
-        """The worker that knows ``stream``, or ``None``.
-
-        One probe shape covers job streams and worker-local named
-        streams alike: a zero-limit batch read answers 200 from the
-        worker holding the stream and 404 everywhere else.
-        """
-        probe = f"/v1/events?stream={quote(stream, safe='')}&cursor=0&limit=0"
-        headers = {"Content-Type": "application/json"}
-        for worker in self._alive_workers():
-            try:
-                status, _headers, _body = await self._upstream_request(
-                    worker, "GET", probe, headers, b""
-                )
-            except UpstreamError:
-                self.supervisor.poll()
-                continue
-            if status == 200:
-                return worker
-        return None
+        return next(
+            (w for w, answer in answers.items() if answer[0] == 200), None
+        )
 
     async def _proxy_events(
-        self,
-        writer: asyncio.StreamWriter,
-        path: str,
-        stream: str,
+        self, writer: asyncio.StreamWriter, path: str, owner: str
     ) -> None:
         """Splice a worker-owned ``/v1/events`` response to the client.
 
         The owning worker shapes the response (JSON batch or chunked
         SSE tail); the router relays its bytes verbatim on a fresh
         ``Connection: close`` upstream so a long tail never pins a
-        pooled connection.  A worker dying mid-tail simply ends the
+        pooled connection.  The relay has no read deadline: a tail is
+        unbounded by design.  A worker dying mid-tail simply ends the
         relay -- the client reconnects with its last cursor and the
         durable replay path fills the gap.
         """
-        owner = await self._find_stream_owner(stream)
-        if owner is None:
-            writer.write(
-                _encode_response(
-                    404,
-                    {
-                        "error": "NotFound",
-                        "message": (
-                            f"no event stream {stream!r} on any worker"
-                        ),
-                    },
-                    keep_alive=False,
-                )
-            )
-            await writer.drain()
-            return
         try:
             port = self.supervisor.ports().get(owner)
             if port is None:
@@ -777,11 +679,7 @@ class Router:
         except UpstreamError as exc:
             self.supervisor.poll()
             writer.write(
-                _encode_response(
-                    503,
-                    {"error": "UpstreamError", "message": str(exc)},
-                    keep_alive=False,
-                )
+                _encode_response(503, _error_payload(exc), keep_alive=False)
             )
             await writer.drain()
             return
@@ -792,9 +690,7 @@ class Router:
             f"Connection: close\r\n\r\n"
         ).encode("latin-1")
         self._requests.inc(worker=owner, outcome="streamed")
-        log_event(
-            _log, "router.events_proxy", worker=owner, stream=stream
-        )
+        log_event(_log, "router.events_proxy", worker=owner, path=path)
         try:
             upstream_writer.write(request_bytes)
             await upstream_writer.drain()
@@ -824,12 +720,7 @@ class Router:
                 except _ProtocolError as exc:
                     writer.write(
                         _encode_response(
-                            exc.status,
-                            {
-                                "error": "ProtocolError",
-                                "message": str(exc),
-                            },
-                            keep_alive=False,
+                            exc.status, _error_payload(exc), False
                         )
                     )
                     await writer.drain()
@@ -839,17 +730,15 @@ class Router:
                 if request is None:
                     return
                 method, path, headers, body = request
-                bare_path = path.partition("?")[0]
-                if bare_path == "/v1/events" and method == "GET":
-                    query = parse_qs(path.partition("?")[2])
-                    stream = query.get("job_id", [None])[0]
-                    if stream is None:
-                        stream = query.get("stream", [None])[0]
-                    if stream and not self.events.known(stream):
-                        # Worker-owned stream: splice the owner's raw
-                        # response (possibly an unbounded SSE tail)
-                        # instead of buffering it through _route.
-                        await self._proxy_events(writer, path, stream)
+                if method == "GET" and path.partition("?")[0] == (
+                    "/v1/events"
+                ):
+                    owner = await self._stream_owner(path)
+                    if owner is not None:
+                        # Splice the owner's raw response (possibly an
+                        # unbounded SSE tail) instead of buffering it
+                        # through _route.
+                        await self._proxy_events(writer, path, owner)
                         return
                 status, payload, response_headers = (
                     await self.handle_request(method, path, body, headers)
@@ -912,8 +801,7 @@ class Router:
             "router.listening",
             host=bound[0],
             port=bound[1],
-            workers=self.config.workers,
-            routing=self.config.routing,
+            **self.config.topology(),
         )
         if ready is not None:
             ready.set()

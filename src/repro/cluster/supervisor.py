@@ -43,6 +43,10 @@ _log = get_logger("cluster")
 #: How long a spawned worker gets to bind and report its port.
 WORKER_START_TIMEOUT_S = 30.0
 
+#: How the router maps requests to workers (stamped into BENCH
+#: envelopes so baselines never mix routing disciplines).
+ROUTING = "rendezvous"
+
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -60,9 +64,6 @@ class ClusterConfig:
     #: Respawn backoff: ``base * 2**consecutive_failures``, capped.
     respawn_backoff_s: float = 0.5
     respawn_backoff_cap_s: float = 10.0
-    #: How the router maps requests to workers (stamped into BENCH
-    #: envelopes so baselines never mix routing disciplines).
-    routing: str = "rendezvous"
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -73,7 +74,7 @@ class ClusterConfig:
 
     def topology(self) -> Dict[str, object]:
         """The envelope stamp: enough to tell two setups apart."""
-        return {"workers": self.workers, "routing": self.routing}
+        return {"workers": self.workers, "routing": ROUTING}
 
 
 def _worker_main(

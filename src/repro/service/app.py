@@ -51,7 +51,9 @@ from ..devices.bce import DEFAULT_BCE
 from ..errors import (
     BadRequestError,
     InfeasibleDesignError,
+    MethodNotAllowedError,
     ModelError,
+    NotFoundError,
     ReproError,
     ServiceError,
     ServiceTimeoutError,
@@ -61,7 +63,7 @@ from ..itrs.scenarios import get_scenario
 from ..projection.designs import DesignSpec, standard_designs
 from ..projection.engine import node_budget
 from .batching import MicroBatcher
-from .events import EventStreamResponse, events_payload
+from .events import events_response
 from .metrics import ServiceMetrics
 from .respcache import ResponseCache
 from .tensor import TensorServing, TransportFastPath
@@ -72,7 +74,9 @@ from .schemas import (
     design_point_payload,
     parse_dse,
     parse_job,
+    parse_limit,
     parse_optimize,
+    parse_profile_query,
     parse_speedup,
     parse_sweep,
     request_payload,
@@ -377,7 +381,7 @@ class ModelService:
             return 200, await self._profile(query), None
         if path == "/v1/events":
             self._require_method(method, "GET", path)
-            return self._events(query) + (None,)
+            return 200, events_response(self.events, query), None
         if path == "/v1/jobs":
             if method == "POST":
                 spec = parse_job(_decode_json(body))
@@ -401,7 +405,7 @@ class ModelService:
             job_id = path[len("/v1/jobs/"):]
             record = self.jobs.get(job_id)
             if record is None:
-                raise _NotFoundError(f"no job {job_id!r}")
+                raise NotFoundError(f"no job {job_id!r}")
             return 200, self.jobs.payload(record), None
         if path == "/v1/speedup":
             self._require_method(method, "POST", path)
@@ -424,7 +428,7 @@ class ModelService:
             if answered is not None:
                 return answered
             return await self._cached_eval(request, self._eval_optimize)
-        raise _NotFoundError(f"no route for {path!r}")
+        raise NotFoundError(f"no route for {path!r}")
 
     def _drain_fastpath(self) -> None:
         """Flush deferred fast-path accounting before a metrics read."""
@@ -458,7 +462,7 @@ class ModelService:
     @staticmethod
     def _require_method(method: str, expected: str, path: str) -> None:
         if method != expected:
-            raise _MethodNotAllowedError(
+            raise MethodNotAllowedError(
                 f"{path} only accepts {expected}, got {method}"
             )
 
@@ -499,53 +503,6 @@ class ModelService:
         """SLO burn episodes land on the always-open ``slo`` stream."""
         self.events.publish("slo", "slo.alert", data=alert)
 
-    def _events(self, query: Dict[str, Any]) -> Tuple[int, Any]:
-        """``GET /v1/events``: batch read or SSE tail of one stream.
-
-        ``job_id`` (or the generic ``stream``) names the stream;
-        ``cursor`` is the first sequence number wanted; ``follow=1``
-        switches from a JSON batch to a chunked SSE tail; ``limit``
-        caps a batch read.
-        """
-        stream = query.get("job_id", [None])[0]
-        if stream is None:
-            stream = query.get("stream", [None])[0]
-        if not stream:
-            raise BadRequestError(
-                "pass job_id=<job> (or stream=<name>) to select an "
-                "event stream"
-            )
-        cursor_text = query.get("cursor", ["0"])[0]
-        try:
-            cursor = int(cursor_text)
-        except ValueError:
-            raise BadRequestError(
-                f"cursor must be an integer, got {cursor_text!r}"
-            ) from None
-        if cursor < 0:
-            raise BadRequestError(f"cursor must be >= 0, got {cursor}")
-        if not self.events.known(stream):
-            raise _NotFoundError(f"no event stream {stream!r}")
-        follow = query.get("follow", ["0"])[0].lower() in (
-            "1", "true", "yes", "sse",
-        )
-        if follow:
-            return 200, EventStreamResponse(
-                self.events, stream, cursor=cursor
-            )
-        limit_text = query.get("limit", [None])[0]
-        limit = None
-        if limit_text is not None:
-            try:
-                limit = max(0, int(limit_text))
-            except ValueError:
-                raise BadRequestError(
-                    f"limit must be an integer, got {limit_text!r}"
-                ) from None
-        return 200, events_payload(
-            self.events, stream, cursor=cursor, limit=limit
-        )
-
     async def _profile(self, query: Dict[str, Any]) -> Any:
         """``GET /v1/profile``: one sampled window off the live process.
 
@@ -562,22 +519,7 @@ class ModelService:
                 "the continuous profiler is off on this instance "
                 "(started with --no-profile)"
             )
-        seconds_text = query.get("seconds", ["1"])[0]
-        try:
-            seconds = float(seconds_text)
-        except ValueError:
-            raise BadRequestError(
-                f"seconds must be a number, got {seconds_text!r}"
-            ) from None
-        if not 0.0 <= seconds <= 60.0:
-            raise BadRequestError(
-                f"seconds must be within [0, 60], got {seconds:g}"
-            )
-        fmt = query.get("format", ["json"])[0]
-        if fmt not in ("json", "folded"):
-            raise BadRequestError(
-                f"format must be 'json' or 'folded', got {fmt!r}"
-            )
+        seconds, fmt = parse_profile_query(query)
         if seconds > 0:
             mark = self.sampler.mark()
             await asyncio.sleep(seconds)
@@ -594,17 +536,10 @@ class ModelService:
 
     def _traces(self, query: Dict[str, Any]) -> Dict[str, Any]:
         """The ``GET /v1/traces`` payload: buffered spans, filtered."""
-        trace_id = query.get("trace_id", [None])[0]
-        limit_text = query.get("limit", [None])[0]
-        limit = None
-        if limit_text is not None:
-            try:
-                limit = max(0, int(limit_text))
-            except ValueError:
-                raise BadRequestError(
-                    f"limit must be an integer, got {limit_text!r}"
-                ) from None
-        spans = self.tracer.spans(trace_id=trace_id, limit=limit)
+        spans = self.tracer.spans(
+            trace_id=query.get("trace_id", [None])[0],
+            limit=parse_limit(query),
+        )
         stats = self.tracer.stats()
         payload = {
             "spans": spans,
@@ -826,16 +761,8 @@ class ModelService:
         )
 
 
-class _NotFoundError(ServiceError):
-    http_status = 404
-
-
 class _ProfilerDisabledError(ServiceError):
     http_status = 503
-
-
-class _MethodNotAllowedError(ServiceError):
-    http_status = 405
 
 
 def _decode_json(body: bytes) -> Any:

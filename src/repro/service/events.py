@@ -22,21 +22,27 @@ Two delivery modes over one cursor model:
   byte-identical suffix of the frame sequence from cursor 0.
 
 The transport half (chunked encoding itself) lives in
-:mod:`repro.service.http`; this module only shapes frames.
+:mod:`repro.service.http`; this module shapes frames and owns the
+query contract (:func:`events_response`) that a worker and the
+cluster router both answer with.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, AsyncIterator, Dict, Optional
+from typing import Any, AsyncIterator, Dict, Mapping, Optional, Tuple
 
+from ..errors import BadRequestError, NotFoundError
 from ..obs.stream import Event, EventBus
+from .schemas import parse_limit
 
 __all__ = [
     "SSE_CONTENT_TYPE",
     "EventStreamResponse",
     "events_payload",
+    "events_response",
+    "parse_events_query",
     "sse_frame",
     "sse_lagged_frame",
     "sse_end_frame",
@@ -138,6 +144,53 @@ def events_payload(
         "events": [event.payload for event in slice_.events],
         "lines": [event.line for event in slice_.events],
     }
+
+
+def parse_events_query(query: Mapping[str, Any]) -> Tuple[str, int]:
+    """``(stream, cursor)`` of a ``GET /v1/events`` query.
+
+    ``job_id`` (or the generic ``stream``) names the stream; ``cursor``
+    is the first sequence number wanted.
+    """
+    stream = query.get("job_id", [None])[0]
+    if stream is None:
+        stream = query.get("stream", [None])[0]
+    if not stream:
+        raise BadRequestError(
+            "pass job_id=<job> (or stream=<name>) to select an "
+            "event stream"
+        )
+    cursor_text = query.get("cursor", ["0"])[0]
+    try:
+        cursor = int(cursor_text)
+    except ValueError:
+        raise BadRequestError(
+            f"cursor must be an integer, got {cursor_text!r}"
+        ) from None
+    if cursor < 0:
+        raise BadRequestError(f"cursor must be >= 0, got {cursor}")
+    return stream, cursor
+
+
+def events_response(bus: EventBus, query: Mapping[str, Any]) -> Any:
+    """The ``GET /v1/events`` payload for one stream on ``bus``.
+
+    ``follow=1`` switches from a JSON batch (capped by ``limit``) to
+    an :class:`EventStreamResponse` tail.  Bad arguments raise
+    :class:`~repro.errors.BadRequestError`; a stream ``bus`` does not
+    know raises :class:`~repro.errors.NotFoundError`.
+    """
+    stream, cursor = parse_events_query(query)
+    if not bus.known(stream):
+        raise NotFoundError(f"no event stream {stream!r}")
+    follow = query.get("follow", ["0"])[0].lower() in (
+        "1", "true", "yes", "sse",
+    )
+    if follow:
+        return EventStreamResponse(bus, stream, cursor=cursor)
+    return events_payload(
+        bus, stream, cursor=cursor, limit=parse_limit(query)
+    )
 
 
 class EventStreamResponse:

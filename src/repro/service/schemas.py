@@ -15,7 +15,7 @@ silently-defaulted answer to a misspelled query.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from ..campaign.spec import CampaignSpec
 from ..core.optimizer import DEFAULT_R_MAX, DesignPoint
@@ -31,6 +31,8 @@ __all__ = [
     "parse_optimize",
     "parse_job",
     "parse_dse",
+    "parse_limit",
+    "parse_profile_query",
     "design_point_payload",
     "request_payload",
 ]
@@ -357,6 +359,45 @@ def parse_dse(body: Any) -> CampaignSpec:
     except ModelError as exc:
         raise BadRequestError(str(exc)) from None
     return spec
+
+
+def parse_limit(query: Mapping[str, Any]) -> Optional[int]:
+    """The optional ``limit`` of a parsed query string (``parse_qs``
+    form); a negative limit clamps to 0."""
+    text = query.get("limit", [None])[0]
+    if text is None:
+        return None
+    try:
+        return max(0, int(text))
+    except ValueError:
+        raise BadRequestError(
+            f"limit must be an integer, got {text!r}"
+        ) from None
+
+
+def parse_profile_query(query: Mapping[str, Any]) -> Tuple[float, str]:
+    """``(seconds, format)`` of a ``GET /v1/profile`` query.
+
+    ``seconds`` (default 1) is the capture window, within [0, 60];
+    ``format`` is ``json`` (default) or ``folded``.
+    """
+    text = query.get("seconds", ["1"])[0]
+    try:
+        seconds = float(text)
+    except ValueError:
+        raise BadRequestError(
+            f"seconds must be a number, got {text!r}"
+        ) from None
+    if not 0.0 <= seconds <= 60.0:
+        raise BadRequestError(
+            f"seconds must be within [0, 60], got {seconds:g}"
+        )
+    fmt = query.get("format", ["json"])[0]
+    if fmt not in ("json", "folded"):
+        raise BadRequestError(
+            f"format must be 'json' or 'folded', got {fmt!r}"
+        )
+    return seconds, fmt
 
 
 def design_point_payload(point: DesignPoint) -> Dict[str, Any]:

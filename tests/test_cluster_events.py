@@ -19,7 +19,8 @@ import pytest
 
 from repro.cluster import ClusterConfig, Router, WorkerSupervisor
 from repro.obs.metrics import MetricsRegistry
-from repro.service.app import ServiceConfig
+from repro.service.app import ModelService, ServiceConfig
+from repro.service.http import _encode_response
 from repro.service.watch import iter_sse_frames, watch
 
 JOB_BODY = json.dumps({"figures": ["F8"]}).encode()
@@ -183,12 +184,45 @@ class TestEventsPassthrough:
             cluster.port, "GET", "/v1/events?job_id=no-such-job&cursor=0"
         )
         assert status == 404
-        assert json.loads(body)["error"] == "NotFound"
+        assert json.loads(body)["error"] == "NotFoundError"
 
     def test_missing_stream_param_is_a_400(self, cluster):
         status, body = _request(cluster.port, "GET", "/v1/events")
         assert status == 400
         assert "job_id" in json.loads(body)["message"]
+
+
+class TestErrorParity:
+    """A bad request gets the worker's status and body bytes whether
+    it reaches a worker directly or goes through the router."""
+
+    @pytest.mark.parametrize(
+        "method, path",
+        [
+            ("GET", "/v1/traces?limit=x"),
+            ("GET", "/v1/profile?seconds=120"),
+            ("GET", "/v1/profile?seconds=abc"),
+            ("GET", "/v1/profile?format=svg"),
+            ("GET", "/v1/events"),
+            ("GET", "/v1/events?job_id=x&cursor=abc"),
+            ("GET", "/v1/events?stream=nope&cursor=-1"),
+            ("POST", "/v1/events?stream=cluster"),
+        ],
+    )
+    def test_router_error_bytes_match_the_worker(self, cluster, method, path):
+        async def direct():
+            service = ModelService(ServiceConfig(profile=True))
+            try:
+                return await service.handle(method, path)
+            finally:
+                service.close()
+
+        status, payload = asyncio.run(direct())
+        expected = _encode_response(status, payload, keep_alive=False)
+        assert status >= 400
+        assert _request(cluster.port, method, path) == (
+            status, expected.partition(b"\r\n\r\n")[2],
+        )
 
 
 class TestClusterStream:
@@ -301,7 +335,7 @@ class TestScatteredTraces:
             cluster.port, "GET", "/v1/traces?limit=x"
         )
         assert status == 400
-        assert json.loads(body)["error"] == "BadRequest"
+        assert json.loads(body)["error"] == "BadRequestError"
 
 
 class TestKilledWorkerMidTail:

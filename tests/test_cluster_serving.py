@@ -9,6 +9,8 @@ shared harness.
 
 import asyncio
 import json
+import os
+import signal
 import socket
 import threading
 import time
@@ -90,10 +92,10 @@ def _request_with_headers(port, method, path, body, extra_headers):
 class _Cluster:
     """A live cluster: worker processes + router loop in a thread."""
 
-    def __init__(self, workers=2, respawn_backoff_s=0.5):
+    def __init__(self, workers=2, respawn_backoff_s=0.5, **service):
         self.config = ClusterConfig(
             workers=workers,
-            service=ServiceConfig(batch_window_ms=0.5, workers=1),
+            service=ServiceConfig(batch_window_ms=0.5, workers=1, **service),
             host="127.0.0.1",
             port=0,
             respawn_backoff_s=respawn_backoff_s,
@@ -390,6 +392,92 @@ class TestWorkerDeath:
             assert status == 200
             assert reborn_body == healthy_body
         finally:
+            harness.stop()
+
+    def test_every_fan_out_answers_from_the_survivor(self):
+        """Each fan-out drops a dead worker, answers from the survivor
+        alone, and nudges the supervisor to poll."""
+        harness = _Cluster(workers=2, respawn_backoff_s=30.0).start()
+        try:
+            job = json.dumps({"figures": ["F6"]}).encode()
+            names = harness.config.worker_names()
+            survivor = rendezvous_owner(shard_key("/v1/jobs", job), names)
+            victim = [n for n in names if n != survivor][0]
+            status, _, body, _ = _request(
+                harness.port, "POST", "/v1/jobs", job
+            )
+            assert status == 202, body
+            job_id = json.loads(body)["job_id"]
+
+            # Count only the router's own nudges: its watchdog polls
+            # from an executor thread on a timer.
+            nudges = []
+            router_thread = harness._thread
+            frozen_alive = dict(harness.supervisor.alive())
+            harness.supervisor.alive = lambda: dict(frozen_alive)
+            harness.supervisor.poll = lambda: nudges.append(
+                threading.current_thread() is router_thread
+            ) or []
+            harness.kill_worker(victim)
+
+            def ask(path):
+                before = nudges.count(True)
+                status, _, body, _ = _request(harness.port, "GET", path)
+                assert status == 200, (path, body)
+                assert nudges.count(True) > before, path
+                return body
+
+            for path in ("/metrics", "/v1/traces", "/v1/profile?seconds=0"):
+                assert sorted(json.loads(ask(path))["workers"]) == [
+                    survivor
+                ], path
+            text = ask("/metrics?format=prom").decode()
+            assert f'worker="{survivor}"' in text
+            assert f'worker="{victim}"' not in text
+            assert json.loads(ask(f"/v1/jobs/{job_id}"))["job_id"] == job_id
+            events = json.loads(ask(f"/v1/events?job_id={job_id}&cursor=0"))
+            assert events["stream"] == job_id and events["events"]
+        finally:
+            harness.stop()
+
+    def test_stuck_worker_is_bounded_by_the_deadline(self):
+        """A worker that is alive but stopped (SIGSTOP) costs each
+        request at most the service's request deadline."""
+        harness = _Cluster(
+            workers=2, respawn_backoff_s=30.0, request_timeout_s=1.0
+        ).start()
+        names = harness.config.worker_names()
+        victim, body, _get_path = self._pick_victims(names)
+        survivor = [n for n in names if n != victim][0]
+        pid = harness.supervisor._slots[victim].process.pid
+        try:
+            status, _, _, _ = _request(
+                harness.port, "POST", "/v1/speedup", body
+            )
+            assert status == 200
+            os.kill(pid, signal.SIGSTOP)
+
+            def timed(method, path, payload=b""):
+                conn = socket.create_connection(
+                    ("127.0.0.1", harness.port), timeout=10
+                )
+                start = time.monotonic()
+                status, _, answer, _ = _request(
+                    harness.port, method, path, payload, sock=conn
+                )
+                assert time.monotonic() - start < 5.0, path
+                return status, answer
+
+            status, metrics = timed("GET", "/metrics")
+            assert status == 200
+            assert sorted(json.loads(metrics)["workers"]) == [survivor]
+            status, error = timed("POST", "/v1/speedup", body)
+            assert status == 503, error
+            payload = json.loads(error)
+            assert payload["error"] == "UpstreamError"
+            assert "\n" not in payload["message"]
+        finally:
+            os.kill(pid, signal.SIGCONT)
             harness.stop()
 
     def test_all_workers_dead_is_503_unavailable(self):
